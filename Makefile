@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench gate baseline pgo serve loadtest smoke
+.PHONY: all build vet test bench bench-e2e gate baseline pgo serve loadtest smoke
 
 all: build vet test
 
@@ -17,6 +17,13 @@ test:
 # agent-vector convergence reference is minutes long and skipped here too).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -skip 'CountEngineConvergence/batch/n=1000000' ./...
+
+# Run the end-to-end benchmark (perfbench/, declared in BENCHMARK.json): each
+# workload once, untraced, stopping at the first failing run.
+bench-e2e:
+	for w in paper-sims counts-consensus popsimd-jobs; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done
 
 # Enforce the ns/op budgets locally — the same perf/budgets_*.json rules CI
 # applies to the BENCH_counts and BENCH_sharded artifacts.

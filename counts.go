@@ -293,9 +293,18 @@ type CountsRunResult struct {
 var ErrCountsSpec = errors.New("popsim: spec not runnable with count predicates")
 
 // RunUntilCounts runs this system's workload with a count predicate until it
-// holds or horizon interactions have been applied, evaluating pred every
-// `every` interactions (every < 1 means 64). For simulator systems the
+// holds or horizon interactions have been applied. For simulator systems the
 // predicate observes the projected (simulated) counts, mirroring RunUntil.
+//
+// every is a minimum interval between predicate checks (every < 1 means
+// 64). On the counts backend checks happen at the engine's sampling
+// boundaries — block boundaries, or run closes on the batch tier — at the
+// first one at or after every interactions since the previous check, so at
+// populations whose blocks or runs exceed 64 interactions the default
+// checks at every boundary. Steps is exact for absorbing (once true, stays
+// true) predicates at any cadence; a non-absorbing predicate is observed
+// only at boundaries. The batched agent-vector path, which serves small and
+// non-canonical populations, checks exactly every `every` interactions.
 //
 // The backend is picked transparently: populations of at least
 // DefaultCountsBackendN with canonically keyed states run on the O(|Q|)

@@ -111,12 +111,17 @@ func (s *System) ResumeCountsJob(ck *CountCheckpoint) (*CountsJob, error) {
 }
 
 // Run drives the job until pred holds on the (projected, for simulator
-// systems) counts or maxSteps further interactions have been applied,
-// evaluating pred every `every` interactions (every < 1 means 64). On
-// convergence, hit is the ABSOLUTE exact hitting step (interactions since
+// systems) counts or maxSteps further interactions have been applied.
+// every is a minimum interval between predicate checks (every < 1 means
+// 64): checks happen at block boundaries, or run closes on the batch tier,
+// at the first one at or after every interactions since the previous check.
+// On convergence, hit is the ABSOLUTE exact hitting step (interactions since
 // the job's initial configuration, checkpoints included) for absorbing
-// predicates — identical for interrupted-and-resumed and uninterrupted runs.
-// Run may be called repeatedly; each call continues where the previous one
+// predicates — identical for interrupted-and-resumed and uninterrupted runs;
+// a non-absorbing predicate is observed only at boundaries. After a hit the
+// job stops at the boundary that closed the hitting quantum, so Steps may
+// exceed hit and a Checkpoint taken there needs no boundary fill. Run may be
+// called repeatedly; each call continues where the previous one
 // stopped, so callers interleave slices with Checkpoint and cancellation
 // checks. The view passed to pred aliases live engine state and is valid
 // only during the call.
@@ -166,6 +171,11 @@ func (j *CountsJob) SetProbe(probe *RunProbe) { j.ce.SetProbe(probe) }
 // Steps returns the total interactions applied since the job's initial
 // configuration (checkpoint-resume continues the counter).
 func (j *CountsJob) Steps() int { return j.ce.Steps() }
+
+// Backend names the counts tier the job runs: "counts", or "counts-batch"
+// for the batch dynamics — the name RunUntilCounts reports in
+// CountsRunResult.Backend.
+func (j *CountsJob) Backend() string { return countsBackendName(j.ce) }
 
 // BlockLen returns the sampler's block length (1 = exact per-pair mode).
 func (j *CountsJob) BlockLen() int { return j.ce.BlockLen() }

@@ -120,34 +120,24 @@ func NewCountEngineFromCounts(k model.Kind, p any, states []pp.State, counts pp.
 	return ce, nil
 }
 
-// batchPendingSteps returns how many interactions of the active run are still
-// owed before the next run boundary: un-applied expanded pairs plus the
-// terminating collision, if owed. Zero exactly at run boundaries — the
-// checkpointing surface.
-func (ce *CountEngine) batchPendingSteps() int {
-	p := len(ce.bpend) - ce.bpendAt
-	if ce.bcollide {
-		p++
-	}
-	return p
-}
-
-// runBatchSteps applies exactly k interactions of the batch dynamics. Whole
-// runs go through the aggregate path; a run that would overshoot the budget
-// is expanded into its defined pair order and drained pairwise across calls,
-// so executions are invariant under call chunking. While ce.logging is set,
-// every pair takes the expanded path and is recorded in chunkLog/chunkRes —
-// the hitting-time replay surface.
-func (ce *CountEngine) runBatchSteps(k int) error {
-	for rem := k; rem > 0; {
+// runBatchSteps applies up to k interactions of the batch dynamics, stopping
+// early at the first run close once at least stop have been applied, and
+// returns the number applied. Whole runs go through the aggregate path; a
+// run that would overshoot k is expanded into its defined pair order and
+// drained pairwise across calls, so executions are invariant under call
+// chunking. While ce.logging is set, every pair takes the expanded path and
+// is recorded in chunkLog/chunkRes — the hitting-time replay surface.
+func (ce *CountEngine) runBatchSteps(k, stop int) (int, error) {
+	done := 0
+	for done < k {
 		// Drain a truncated run's expanded pairs.
 		if ce.bpendAt < len(ce.bpend) {
 			pr := ce.bpend[ce.bpendAt]
 			if err := ce.applyBatchPair(pr.S, pr.R, true); err != nil {
-				return err
+				return done, err
 			}
 			ce.bpendAt++
-			rem--
+			done++
 			continue
 		}
 		// The run's pairs are all applied: resolve the owed collision, which
@@ -155,7 +145,7 @@ func (ce *CountEngine) runBatchSteps(k int) error {
 		if ce.bcollide {
 			s, r := ce.bs.CollidePair(ce.counts, ce.bused, ce.btwoL)
 			if err := ce.applyBatchPair(s, r, false); err != nil {
-				return err
+				return done, err
 			}
 			ce.bcollide = false
 			ce.bpend = ce.bpend[:0]
@@ -164,11 +154,14 @@ func (ce *CountEngine) runBatchSteps(k int) error {
 			for i := range ce.bused {
 				ce.bused[i] = 0
 			}
-			rem--
+			done++
 			// Run close — counts are a complete summary again: the batch
 			// tier's probe boundary (one publish per ~0.63·√n interactions).
 			ce.bstatColl++
 			ce.publishProbe()
+			if done >= stop {
+				break
+			}
 			continue
 		}
 		// Run boundary: sample the next run.
@@ -180,21 +173,21 @@ func (ce *CountEngine) runBatchSteps(k int) error {
 			ce.bused[i] = 0
 		}
 		ce.bcollide = true
-		if !ce.logging && int64(rem) >= run.L {
+		if !ce.logging && int64(k-done) >= run.L {
 			if err := ce.applyBatchRun(run); err != nil {
-				return err
+				return done, err
 			}
-			rem -= int(run.L)
+			done += int(run.L)
 			continue
 		}
 		if err := ce.warmRunCells(run); err != nil {
-			return err
+			return done, err
 		}
 		ce.bpend = run.Expand(ce.bpend[:0])
 		ce.bpendAt = 0
 	}
 	ce.publishProbe()
-	return nil
+	return done, nil
 }
 
 // warmRunCells probes every cell's transition once, in cell order, before a
@@ -346,92 +339,4 @@ func (ce *CountEngine) applyBatchRun(run *sched.BatchRun) error {
 	}
 	ce.counts, ce.bused = counts, bused
 	return nil
-}
-
-// runUntilBatch is RunUntil's batch-mode body. The hitting time stays exact
-// for absorbing predicates: the aggregate fast path doesn't record per-pair
-// history, so when the predicate flips within an armed chunk the engine
-// rewinds to an O(|Q|)+one-word snapshot of the chunk start (counts, stream
-// state, pending-run remainder) and REPLAYS the chunk with logging forced —
-// the expanded path reproduces the identical trajectory pair by pair (the
-// expansion shuffle keys off the run's start state, not the main stream) and
-// fills chunkLog/chunkRes, after which the shared bisectChunk prefix search
-// applies unchanged. Replay costs one extra traversal of a single chunk, only
-// on the chunk that hit.
-func (ce *CountEngine) runUntilBatch(pred func(pp.Counts) bool, every, maxSteps int) (int, bool, error) {
-	if every < 1 {
-		every = 1
-	}
-	if pred(ce.counts) {
-		return 0, true, nil
-	}
-	consumed := 0
-	for consumed < maxSteps {
-		chunk := maxSteps - consumed
-		if chunk > every {
-			chunk = every
-		}
-		armed := chunk > 1
-		var (
-			sStream  uint64
-			sSteps   int
-			sEvents  int
-			sCollide bool
-			sTwoL    int64
-			sRuns    int64
-			sLen     int64
-			sColl    int64
-		)
-		if armed {
-			ce.snap = append(ce.snap[:0], ce.counts...)
-			sStream = ce.bs.StreamState()
-			sSteps = ce.steps
-			sEvents = ce.eventCount
-			sCollide = ce.bcollide
-			sTwoL = ce.btwoL
-			sRuns, sLen, sColl = ce.bstatRuns, ce.bstatLen, ce.bstatColl
-			ce.bsnapPend = append(ce.bsnapPend[:0], ce.bpend[ce.bpendAt:]...)
-			ce.bsnapUsed = append(ce.bsnapUsed[:0], ce.bused...)
-		}
-		if err := ce.runBatchSteps(chunk); err != nil {
-			return consumed, false, err
-		}
-		consumed += chunk
-		if pred(ce.counts) {
-			hit := consumed
-			if armed {
-				ce.counts = append(ce.counts[:0], ce.snap...)
-				ce.bs = sched.ResumeBatchScheduler(sStream, ce.n)
-				ce.steps = sSteps
-				ce.eventCount = sEvents
-				ce.bcollide = sCollide
-				ce.btwoL = sTwoL
-				ce.bstatRuns, ce.bstatLen, ce.bstatColl = sRuns, sLen, sColl
-				ce.bpend = append(ce.bpend[:0], ce.bsnapPend...)
-				ce.bpendAt = 0
-				ce.bused = append(ce.bused[:0], ce.bsnapUsed...)
-				ce.chunkLog = ce.chunkLog[:0]
-				ce.chunkRes = ce.chunkRes[:0]
-				// Replay with the probe detached: the first pass already
-				// published the chunk's end position, and the replay walks
-				// the same trajectory from the chunk start — a concurrent
-				// scraper must never observe steps moving backwards. The
-				// replay ends exactly where the published state says.
-				probe := ce.probe
-				ce.probe = nil
-				ce.logging = true
-				err := ce.runBatchSteps(chunk)
-				ce.logging = false
-				ce.probe = probe
-				if err != nil {
-					return consumed, false, err
-				}
-				if len(ce.chunkLog) == chunk {
-					hit = consumed - chunk + ce.bisectChunk(pred, chunk)
-				}
-			}
-			return hit, true, nil
-		}
-	}
-	return consumed, false, nil
 }

@@ -75,42 +75,87 @@ func TestBatchGranularityInvariance(t *testing.T) {
 
 // TestBatchHittingExact pins the exact-hitting contract: RunUntil with a
 // coarse evaluation cadence (aggregate fast path + rewind/replay/bisect)
-// must report the same hitting step as per-step evaluation (every = 1, which
-// applies the expanded order directly and checks after each interaction).
+// must report the same absolute hitting step as a per-interaction reference
+// (RunSteps(1), checking after each) — also where runs are much longer than
+// the check interval (n = 2¹⁸, E[L] ≈ 320) and when the call enters mid-run
+// after an odd RunSteps, far from or just before the hit. After a hit the
+// engine sits at a run close of the uninterrupted trajectory: a checkpoint
+// needs no fill, and the counts match a plain RunSteps run to the same step.
 func TestBatchHittingExact(t *testing.T) {
-	const n = 4096
 	maj := protocols.Majority{}
-	cfg := func() pp.Configuration { return protocols.MajorityConfig(n/2+32, n/2-32) }
-	pred := func(in *pp.Interner) func(pp.Counts) bool {
-		return func(c pp.Counts) bool {
-			var a int64
-			for id, cnt := range c {
-				if cnt > 0 && maj.Output(in.State(uint32(id))) == "A" {
-					a += cnt
+	for _, tc := range []struct {
+		as, bs int
+		seeds  []int64
+		pre    int // interactions applied before RunUntil; < 0: −pre before the hit
+		every  []int
+	}{
+		{2048 + 32, 2048 - 32, []int64{3, 17, 29}, 0, []int{1, 4096}},
+		{2048 + 32, 2048 - 32, []int64{3}, 1001, []int{1, 4096}},
+		{2048 + 32, 2048 - 32, []int64{3}, -5, []int{1, 4096}},
+		{5 << 15, 3 << 15, []int64{5}, 0, []int{1, 64, 4096}},
+		{5 << 15, 3 << 15, []int64{5}, 1001, []int{1, 64, 4096}},
+		{5 << 15, 3 << 15, []int64{5}, -77, []int{1, 64, 4096}},
+	} {
+		n := tc.as + tc.bs
+		pred := func(in *pp.Interner) func(pp.Counts) bool {
+			return func(c pp.Counts) bool {
+				var a int64
+				for id, cnt := range c {
+					if cnt > 0 && maj.Output(in.State(uint32(id))) == "A" {
+						a += cnt
+					}
+				}
+				return a == int64(n)
+			}
+		}
+		for _, seed := range tc.seeds {
+			mk := func() *engine.CountEngine {
+				ce, err := engine.NewCountEngine(model.TW, maj, protocols.MajorityConfig(tc.as, tc.bs), seed, engine.CountOptions{Batch: engine.BatchOn})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ce
+			}
+			ref := mk()
+			refPred := pred(ref.Interner())
+			for !refPred(ref.Counts()) {
+				if ref.Steps() >= 2000*n {
+					t.Fatalf("seed %d: reference did not converge", seed)
+				}
+				if err := ref.RunSteps(1); err != nil {
+					t.Fatal(err)
 				}
 			}
-			return a == int64(n)
-		}
-	}
-	for _, seed := range []int64{3, 17, 29} {
-		fine, err := engine.NewCountEngine(model.TW, maj, cfg(), seed, engine.CountOptions{Batch: engine.BatchOn})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fineHit, ok, err := fine.RunUntil(pred(fine.Interner()), 1, 2000*n)
-		if err != nil || !ok {
-			t.Fatalf("seed %d fine: ok=%v err=%v", seed, ok, err)
-		}
-		coarse, err := engine.NewCountEngine(model.TW, maj, cfg(), seed, engine.CountOptions{Batch: engine.BatchOn})
-		if err != nil {
-			t.Fatal(err)
-		}
-		coarseHit, ok, err := coarse.RunUntil(pred(coarse.Interner()), n, 2000*n)
-		if err != nil || !ok {
-			t.Fatalf("seed %d coarse: ok=%v err=%v", seed, ok, err)
-		}
-		if fineHit != coarseHit {
-			t.Fatalf("seed %d: hitting step %d with every=1, %d with every=%d", seed, fineHit, coarseHit, n)
+			pre := tc.pre
+			if pre < 0 {
+				pre += ref.Steps()
+			}
+			for _, every := range tc.every {
+				ce := mk()
+				if err := ce.RunSteps(pre); err != nil {
+					t.Fatal(err)
+				}
+				hit, ok, err := ce.RunUntil(pred(ce.Interner()), every, 2000*n)
+				if err != nil || !ok {
+					t.Fatalf("seed %d every=%d: ok=%v err=%v", seed, every, ok, err)
+				}
+				tag := fmt.Sprintf("n=%d seed %d pre %d every %d", n, seed, pre, every)
+				if pre+hit != ref.Steps() {
+					t.Fatalf("%s: hitting step %d, reference %d", tag, pre+hit, ref.Steps())
+				}
+				plain := mk()
+				if err := plain.RunSteps(ce.Steps()); err != nil {
+					t.Fatal(err)
+				}
+				countsEqual(t, tag+": stopped vs plain", ce.Counts(), plain.Counts())
+				ck, err := ce.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ck.Steps != ce.Steps() {
+					t.Fatalf("%s: checkpoint filled %d → %d after a hit", tag, ce.Steps(), ck.Steps)
+				}
+			}
 		}
 	}
 }

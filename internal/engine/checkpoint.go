@@ -91,13 +91,7 @@ func (ce *CountEngine) Checkpoint() (*CountCheckpoint, error) {
 	// Batch mode's boundary is a run boundary: fill the active run's owed
 	// interactions (its un-applied expanded pairs plus the terminating
 	// collision), after which the scheduler's whole state is one stream word.
-	rem := 0
-	if ce.batch {
-		rem = ce.batchPendingSteps()
-	} else {
-		rem = ce.cs.BlockRemaining()
-	}
-	if rem > 0 {
+	if rem := ce.pendingSteps(); rem > 0 {
 		if err := ce.RunSteps(rem); err != nil {
 			return nil, fmt.Errorf("checkpoint boundary fill: %w", err)
 		}

@@ -199,17 +199,14 @@ type CountEngine struct {
 	bcollide bool
 	btwoL    int64
 	bused    []int64
-	// Replay snapshot scratch for runUntilBatch's exact-hitting rewind.
-	bsnapPend []sched.CountPair
-	bsnapUsed []int64
 
 	// probe is the run's pull-based progress surface (nil = unarmed);
 	// publishes happen only at sampling boundaries — a block in block mode,
 	// a run close in batch mode, the end of a RunSteps call in exact mode —
 	// never per interaction. bstat* are the batch tier's draw totals (runs
 	// drawn, summed collision-free length, collisions), engine-owned plain
-	// counters so runUntilBatch's rewind-and-replay can snapshot and restore
-	// them alongside steps and eventCount.
+	// counters so RunUntil's rewind-and-replay can snapshot and restore them
+	// alongside steps and eventCount.
 	probe     *obs.RunProbe
 	bstatRuns int64
 	bstatLen  int64
@@ -384,13 +381,22 @@ func (ce *CountEngine) Config() pp.Configuration {
 // call chunking.
 func (ce *CountEngine) RunSteps(k int) error {
 	if ce.batch {
-		return ce.runBatchSteps(k)
+		_, err := ce.runBatchSteps(k, k)
+		return err
 	}
 	tab, stride := ce.cache.Dense()
 	st64 := uint64(stride)
 	counts := ce.counts
 	for consumed := 0; consumed < k; {
-		pairs := ce.cs.Block(counts, k-consumed)
+		live := counts
+		if !ce.exact {
+			// Trailing zeros must not pick a reload's pool representation:
+			// RunUntil's rewound replay sees the state table its pass grew.
+			for len(live) > 1 && live[len(live)-1] == 0 {
+				live = live[:len(live)-1]
+			}
+		}
+		pairs := ce.cs.Block(live, k-consumed)
 		if len(pairs) == 0 {
 			return fmt.Errorf("%w: count sampler starved (population %d)", ErrConfig, ce.n)
 		}
@@ -460,23 +466,28 @@ func (ce *CountEngine) RunSteps(k int) error {
 }
 
 // RunUntil runs until pred holds on the counts vector or maxSteps
-// interactions have been applied, evaluating pred every `every` interactions
-// (and once up front; every < 1 means 1). It returns the number of
-// interactions this call consumed up to and including the first one after
-// which pred held (0 when pred held on entry), or the total consumed when ok
-// is false.
+// interactions have been applied. It returns the number of interactions this
+// call consumed up to and including the first one after which pred held (0
+// when pred held on entry), or the total consumed when ok is false.
+//
+// pred is checked once up front and then only at the engine's own sampling
+// boundaries — a block boundary in block mode, a run close in batch mode,
+// any interaction in exact mode: every is a minimum interval between checks
+// (every < 1 means 1), and each check happens at the first boundary at or
+// after every interactions since the previous one. A call entered mid-block
+// or mid-run first drains to that boundary, logging the drained pairs, and
+// checks there. A quantum never runs past maxSteps; one cut short by it
+// ends mid-block or mid-run.
 //
 // The hitting time is exact for absorbing (once true, stays true)
-// predicates even for every > 1: the chunk in which the predicate flipped is
-// bisected by replaying prefixes of its sampled pairs against an O(|Q|)
-// snapshot of the chunk-start counts — the counts analogue of the
-// agent-vector engine's chunk bisection, with the O(n) ID snapshot replaced
-// by an O(|Q|) counts copy. The engine itself always ends at the last chunk
-// boundary, keeping its sampler position consistent with Steps().
+// predicates at any every: when pred flips, the engine rewinds to the
+// quantum's starting boundary — an O(|Q|) counts copy plus the scheduler's
+// stream word and the counters, from which the samplers rebuild — replays
+// the quantum with per-pair logging and bisects it. A non-absorbing
+// predicate is observed only at boundaries. After a hit the engine stops at
+// the boundary that closed the hitting quantum, so Steps() may exceed the
+// hit and a Checkpoint taken there needs no boundary fill.
 func (ce *CountEngine) RunUntil(pred func(pp.Counts) bool, every, maxSteps int) (int, bool, error) {
-	if ce.batch {
-		return ce.runUntilBatch(pred, every, maxSteps)
-	}
 	if every < 1 {
 		every = 1
 	}
@@ -484,33 +495,121 @@ func (ce *CountEngine) RunUntil(pred func(pp.Counts) bool, every, maxSteps int) 
 		return 0, true, nil
 	}
 	consumed := 0
+	if rem := min(ce.pendingSteps(), maxSteps); rem > 0 {
+		// Mid-block or mid-run there is no rewind point: log the drain.
+		ce.snap = append(ce.snap[:0], ce.counts...)
+		if err := ce.runLogged(rem); err != nil {
+			return 0, false, err
+		}
+		if pred(ce.counts) {
+			return ce.bisectChunk(pred, rem), true, nil
+		}
+		consumed = rem
+	}
 	for consumed < maxSteps {
-		chunk := maxSteps - consumed
-		if chunk > every {
-			chunk = every
-		}
-		armed := chunk > 1
-		if armed {
-			ce.snap = append(ce.snap[:0], ce.counts...)
-			ce.chunkLog = ce.chunkLog[:0]
-			ce.chunkRes = ce.chunkRes[:0]
-			ce.logging = true
-		}
-		err := ce.RunSteps(chunk)
-		ce.logging = false
+		m := ce.mark()
+		q, err := ce.runQuantum(every, maxSteps-consumed)
 		if err != nil {
 			return consumed, false, err
 		}
-		consumed += chunk
+		consumed += q
 		if pred(ce.counts) {
-			hit := consumed
-			if armed && len(ce.chunkLog) == chunk {
-				hit = consumed - chunk + ce.bisectChunk(pred, chunk)
+			// Replay with the probe detached: the first pass already
+			// published the quantum's end, and a concurrent scraper must
+			// never observe steps moving backwards.
+			ce.rewind(m)
+			probe := ce.probe
+			ce.probe = nil
+			err := ce.runLogged(q)
+			ce.probe = probe
+			if err != nil {
+				return consumed - q, false, err
 			}
-			return hit, true, nil
+			return consumed - q + ce.bisectChunk(pred, q), true, nil
 		}
 	}
 	return consumed, false, nil
+}
+
+// pendingSteps returns how many interactions remain before the next
+// sampling boundary: the rest of the block, or the active run's un-applied
+// expanded pairs plus its owed collision (zero at a boundary).
+func (ce *CountEngine) pendingSteps() int {
+	if !ce.batch {
+		return ce.cs.BlockRemaining()
+	}
+	p := len(ce.bpend) - ce.bpendAt
+	if ce.bcollide {
+		p++
+	}
+	return p
+}
+
+// runQuantum applies whole sampling quanta from a boundary — blocks in block
+// mode, runs closed by their collision in batch mode, single interactions in
+// exact mode — until at least atLeast interactions are applied, never more
+// than atMost, and returns the number applied.
+func (ce *CountEngine) runQuantum(atLeast, atMost int) (int, error) {
+	if ce.batch {
+		return ce.runBatchSteps(atMost, atLeast)
+	}
+	k := atLeast
+	if b := ce.cs.BlockLen(); k%b != 0 {
+		k += b - k%b
+	}
+	if k > atMost || k < 0 {
+		k = atMost
+	}
+	return k, ce.RunSteps(k)
+}
+
+// runLogged applies k interactions pair by pair, recording them in
+// chunkLog/chunkRes for bisectChunk.
+func (ce *CountEngine) runLogged(k int) error {
+	ce.chunkLog = ce.chunkLog[:0]
+	ce.chunkRes = ce.chunkRes[:0]
+	ce.logging = true
+	err := ce.RunSteps(k)
+	ce.logging = false
+	return err
+}
+
+// boundaryMark is RunUntil's rewind point at a sampling boundary: with the
+// counts, kept in snap, the engine's whole state there.
+type boundaryMark struct {
+	rng                 uint64
+	steps, events       int
+	runs, runLen, colls int64
+}
+
+// mark snapshots the engine at a sampling boundary.
+func (ce *CountEngine) mark() boundaryMark {
+	ce.snap = append(ce.snap[:0], ce.counts...)
+	m := boundaryMark{steps: ce.steps, events: ce.eventCount, runs: ce.bstatRuns, runLen: ce.bstatLen, colls: ce.bstatColl}
+	if ce.batch {
+		m.rng = ce.bs.StreamState()
+	} else {
+		m.rng = ce.cs.StreamState()
+	}
+	return m
+}
+
+// rewind restores the engine to a mark, rebuilding the scheduler from its
+// stream word. States interned since the mark keep their IDs at zero count.
+func (ce *CountEngine) rewind(m boundaryMark) {
+	ce.counts = append(ce.counts[:0], ce.snap...)
+	for len(ce.counts) < ce.in.Len() {
+		ce.counts = append(ce.counts, 0)
+	}
+	ce.steps, ce.eventCount = m.steps, m.events
+	ce.bstatRuns, ce.bstatLen, ce.bstatColl = m.runs, m.runLen, m.colls
+	if !ce.batch {
+		ce.cs = sched.ResumeCountScheduler(m.rng, ce.cs.BlockLen())
+		return
+	}
+	ce.bs = sched.ResumeBatchScheduler(m.rng, ce.n)
+	ce.bpend, ce.bpendAt, ce.bcollide, ce.btwoL = ce.bpend[:0], 0, false, 0
+	ce.bused = make([]int64, len(ce.counts))
 }
 
 // bisectChunk finds the exact hitting step within the just-applied chunk:

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"popsim/internal/engine"
@@ -87,32 +88,150 @@ func TestCountEngineDeterministicAndChunkingInvariant(t *testing.T) {
 }
 
 // TestCountEngineExactHittingTime: on a deterministic (per seed) counts
-// execution, RunUntil with a sparse predicate cadence must report the same
-// hitting step as the every=1 reference run of the same seed.
+// execution, RunUntil must report the same absolute hitting step at every
+// predicate cadence as a per-interaction reference (RunSteps(1), checking
+// after each) of the same seed — also where blocks are much longer than the
+// check interval, and when the call enters mid-block after an odd RunSteps,
+// far from or just before the hit. After a hit the engine sits at a block
+// boundary of the uninterrupted trajectory: a checkpoint needs no fill, and
+// the counts match a plain RunSteps run to the same step.
 func TestCountEngineExactHittingTime(t *testing.T) {
-	for _, blockLen := range []int{1, 16} {
+	for _, tc := range []struct {
+		as, bs   int
+		blockLen int // 0 = auto (256 at n = 2¹⁸)
+		pre      int // interactions applied before RunUntil; < 0: −pre before the hit
+		every    []int
+	}{
+		{36, 28, 1, 0, []int{1, 512}},
+		{36, 28, 16, 0, []int{1, 512}},
+		{36, 28, 16, 7, []int{1, 512}},
+		{36, 28, 16, -5, []int{1, 512}},
+		{5 << 15, 3 << 15, 0, 0, []int{1, 64, 4096}},
+		{5 << 15, 3 << 15, 0, 1001, []int{1, 64, 4096}},
+		{5 << 15, 3 << 15, 0, -77, []int{1, 64, 4096}},
+	} {
 		mk := func() *engine.CountEngine {
 			ce, err := engine.NewCountEngine(model.TW, protocols.Majority{},
-				protocols.MajorityConfig(36, 28), 11, engine.CountOptions{BlockLen: blockLen})
+				protocols.MajorityConfig(tc.as, tc.bs), 11, engine.CountOptions{BlockLen: tc.blockLen})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return ce
 		}
 		ref := mk()
-		pred := majorityConvergedCounts(ref.Interner(), "A")
-		refHit, ok, err := ref.RunUntil(pred, 1, 5_000_000)
-		if err != nil || !ok {
-			t.Fatalf("reference run: ok=%v err=%v", ok, err)
+		refPred := majorityConvergedCounts(ref.Interner(), "A")
+		for !refPred(ref.Counts()) {
+			if err := ref.RunSteps(1); err != nil {
+				t.Fatal(err)
+			}
 		}
-		sparse := mk()
-		predS := majorityConvergedCounts(sparse.Interner(), "A")
-		hit, ok, err := sparse.RunUntil(predS, 512, 5_000_000)
-		if err != nil || !ok {
-			t.Fatalf("sparse run: ok=%v err=%v", ok, err)
+		pre := tc.pre
+		if pre < 0 {
+			pre += ref.Steps()
 		}
-		if hit != refHit {
-			t.Fatalf("blockLen %d: sparse hitting step %d != reference %d", blockLen, hit, refHit)
+		for _, every := range tc.every {
+			ce := mk()
+			if err := ce.RunSteps(pre); err != nil {
+				t.Fatal(err)
+			}
+			hit, ok, err := ce.RunUntil(majorityConvergedCounts(ce.Interner(), "A"), every, 5_000_000_000)
+			if err != nil || !ok {
+				t.Fatalf("every=%d run: ok=%v err=%v", every, ok, err)
+			}
+			tag := fmt.Sprintf("n=%d blockLen %d pre %d every %d", tc.as+tc.bs, ce.BlockLen(), pre, every)
+			if pre+hit != ref.Steps() {
+				t.Fatalf("%s: hitting step %d != reference %d", tag, pre+hit, ref.Steps())
+			}
+			plain := mk()
+			if err := plain.RunSteps(ce.Steps()); err != nil {
+				t.Fatal(err)
+			}
+			countsEqual(t, tag+": stopped vs plain", ce.Counts(), plain.Counts())
+			ck, err := ce.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.Steps != ce.Steps() {
+				t.Fatalf("%s: checkpoint filled %d → %d after a hit", tag, ce.Steps(), ck.Steps)
+			}
+		}
+	}
+}
+
+// TestCountEngineHittingReplayWrapped: wrapped simulators mint states all
+// run long (|Q| passes the 256-state pool threshold on the way to a hit), so RunUntil's
+// rewound replay of a hitting quantum meets a state table the first pass
+// grew. The replay must still retrace the first pass: same hitting step as
+// a per-interaction reference, and the same counts as a plain RunSteps run
+// to the step where the engine stopped — also when the call enters
+// mid-block or mid-run. every = 2¹⁶ spans the whole run in one quantum.
+func TestCountEngineHittingReplayWrapped(t *testing.T) {
+	const n = 32
+	maj := protocols.Majority{}
+	simCfg := protocols.MajorityConfig(n/2+8, n/2-8)
+	for _, w := range []struct {
+		name     string
+		kind     model.Kind
+		protocol any
+		wrap     pp.Configuration
+		opts     []engine.CountOptions
+	}{
+		{"skno", model.IT, sim.SKnO{P: maj, O: 0}, sim.SKnO{P: maj, O: 0}.WrapConfig(simCfg),
+			[]engine.CountOptions{{BlockLen: 8}, {Batch: engine.BatchOn}}},
+		{"sid", model.IO, sim.SID{P: maj}, sim.SID{P: maj}.WrapConfig(simCfg),
+			[]engine.CountOptions{{BlockLen: 8}}},
+	} {
+		for _, opts := range w.opts {
+			mk := func() *engine.CountEngine {
+				ce, err := engine.NewCountEngine(w.kind, w.protocol, w.wrap, 3, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ce
+			}
+			pred := func(in *pp.Interner) func(pp.Counts) bool {
+				var isA []bool // projected output per state ID, memoized
+				return func(c pp.Counts) bool {
+					for id, v := range c {
+						for len(isA) <= id {
+							st := sim.Project(pp.Configuration{in.State(uint32(len(isA)))})[0]
+							isA = append(isA, maj.Output(st) == "A")
+						}
+						if v > 0 && !isA[id] {
+							return false
+						}
+					}
+					return true
+				}
+			}
+			ref := mk()
+			refPred := pred(ref.Interner())
+			for !refPred(ref.Counts()) {
+				if err := ref.RunSteps(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, pre := range []int{0, 7, ref.Steps() - 5} {
+				for _, every := range []int{64, 1 << 16} {
+					ce := mk()
+					if err := ce.RunSteps(pre); err != nil {
+						t.Fatal(err)
+					}
+					tag := fmt.Sprintf("%s %+v pre %d every %d", w.name, opts, pre, every)
+					hit, ok, err := ce.RunUntil(pred(ce.Interner()), every, 5_000_000)
+					if err != nil || !ok {
+						t.Fatalf("%s: ok=%v err=%v", tag, ok, err)
+					}
+					if pre+hit != ref.Steps() {
+						t.Fatalf("%s: hitting step %d, reference %d", tag, pre+hit, ref.Steps())
+					}
+					plain := mk()
+					if err := plain.RunSteps(ce.Steps()); err != nil {
+						t.Fatal(err)
+					}
+					countsEqual(t, tag+": replayed vs plain", ce.Counts(), plain.Counts())
+				}
+			}
 		}
 	}
 }

@@ -111,8 +111,8 @@ func TestBatchProbeRewindExact(t *testing.T) {
 	if !ok {
 		t.Fatalf("majority did not converge within budget (steps=%d)", hitStep)
 	}
-	// RunUntil leaves the engine at the last chunk boundary, at or past the
-	// returned hitting step; the probe must track the engine, not the return.
+	// RunUntil leaves the engine at the run close that ended the hitting
+	// quantum, at or past the returned hitting step; the probe must track the engine, not the return.
 	if hitStep > hit.Steps() {
 		t.Fatalf("hit step %d past engine position %d", hitStep, hit.Steps())
 	}

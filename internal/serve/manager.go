@@ -52,10 +52,11 @@ func (s JobState) Terminal() bool {
 }
 
 // Job is one submitted scenario: Spec.Runs seed runs fanned out on the
-// per-job pool, each producing one report.Line. Results append in completion
-// order and stream live; an interrupted job retains them plus per-seed
-// checkpoints, and Resume continues exactly where it stopped —
-// bit-identically for counts-backend seeds, from scratch for vector seeds.
+// per-job pool, each producing one report.Line. Results append in seed order
+// and stream live, so a cached resubmission replays its cold run byte for
+// byte; an interrupted job retains them plus per-seed checkpoints, and
+// Resume continues exactly where it stopped — bit-identically for
+// counts-backend seeds, from scratch for vector seeds.
 type Job struct {
 	// ID is the job handle: "j<seq>-<spec hash>". Unique per submission, so
 	// resubmitting a scenario makes a new job whose seed runs are served
@@ -68,6 +69,7 @@ type Job struct {
 	state       JobState
 	errMsg      string
 	lines       []report.Line
+	held        map[int64]report.Line // finished ahead of an earlier seed
 	doneSeeds   map[int64]bool
 	checkpoints map[int64]*popsim.CountCheckpoint
 	// probes holds one live-progress probe per seed run that has started
@@ -111,9 +113,14 @@ func (j *Job) Status() JobStatus {
 		State:     j.state,
 		Spec:      j.Spec,
 		Runs:      j.Spec.Runs,
-		Completed: len(j.lines),
+		Completed: len(j.doneSeeds),
 	}
 	for _, l := range j.lines {
+		if l.Pass {
+			st.Passed++
+		}
+	}
+	for _, l := range j.held {
 		if l.Pass {
 			st.Passed++
 		}
@@ -154,12 +161,35 @@ func (j *Job) changed() {
 	j.notify = make(chan struct{})
 }
 
+// appendLine records a finished seed run. Lines are emitted in seed order:
+// one that finishes ahead of an earlier seed is held back until that seed's
+// line arrives. (held stays nil while lines arrive in order: jobs are kept
+// for the server's lifetime.)
 func (j *Job) appendLine(seed int64, line report.Line) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.lines = append(j.lines, line)
 	j.doneSeeds[seed] = true
 	delete(j.checkpoints, seed)
+	if seed != j.Spec.Seed+int64(len(j.lines)) {
+		if j.held == nil {
+			j.held = make(map[int64]report.Line)
+		}
+		j.held[seed] = line
+	} else {
+		j.lines = append(j.lines, line)
+		for {
+			next := j.Spec.Seed + int64(len(j.lines))
+			l, ok := j.held[next]
+			if !ok {
+				break
+			}
+			j.lines = append(j.lines, l)
+			delete(j.held, next)
+		}
+		if len(j.held) == 0 {
+			j.held = nil
+		}
+	}
 	j.changed()
 }
 
@@ -232,7 +262,7 @@ func (j *Job) Progress() JobProgress {
 		ID:        j.ID,
 		State:     j.state,
 		Runs:      j.Spec.Runs,
-		Completed: len(j.lines),
+		Completed: len(j.doneSeeds),
 	}
 	seeds := make([]int64, 0, len(j.probes))
 	probes := make([]*obs.RunProbe, 0, len(j.probes))
@@ -267,6 +297,19 @@ func (j *Job) setState(s JobState, errMsg string, cancel context.CancelFunc) {
 		j.errMsg = errMsg
 	}
 	j.cancel = cancel
+	if s == JobFailed {
+		// No earlier line will come: release the held ones, still in seed
+		// order. (An interrupted job keeps them for its resume.)
+		seeds := make([]int64, 0, len(j.held))
+		for seed := range j.held {
+			seeds = append(seeds, seed)
+		}
+		sort.Slice(seeds, func(a, b int) bool { return seeds[a] < seeds[b] })
+		for _, seed := range seeds {
+			j.lines = append(j.lines, j.held[seed])
+		}
+		j.held = nil
+	}
 	if s.Terminal() {
 		j.finished = time.Now()
 	}
@@ -677,7 +720,7 @@ func (m *Manager) runCountsSeed(ctx context.Context, job *Job, seed int64, sys *
 		steps = hit
 	}
 	m.metrics.Interactions.Add(int64(cj.Steps() - start))
-	return m.resultLine(spec, seed, BackendCounts, steps, converged, cj.SimEvents()), nil
+	return m.resultLine(spec, seed, cj.Backend(), steps, converged, cj.SimEvents()), nil
 }
 
 func (m *Manager) runVectorSeed(ctx context.Context, job *Job, seed int64, sys *popsim.System, w Workload) (report.Line, error) {

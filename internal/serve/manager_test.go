@@ -135,6 +135,27 @@ func TestManagerCountsBackendSelected(t *testing.T) {
 	}
 }
 
+// TestManagerBatchBackendReported: a seed run on the batch tier reports the
+// tier that ran, the name RunUntilCounts and the run's probe use.
+func TestManagerBatchBackendReported(t *testing.T) {
+	m := NewManager(Options{Workers: 1, QueueCap: 4})
+	defer m.Close()
+	job, err := m.Submit(mustSpec(t, Spec{Protocol: "or", N: 4096, Backend: BackendCounts, Batch: "on", Seed: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, job, 60*time.Second); st != JobDone {
+		t.Fatalf("state %s, err %q", st, job.Status().Error)
+	}
+	lines, _ := job.Lines()
+	if got := lines[0].Notes[0]; got != "backend=counts-batch" {
+		t.Fatalf("batch seed notes: %v", lines[0].Notes)
+	}
+	if tier := job.Progress().Seeds[0].Probe.Backend; tier != "counts-batch" {
+		t.Fatalf("probe tier %q", tier)
+	}
+}
+
 // TestManagerBackpressure fills the bounded queue behind a slow job and
 // checks ErrQueueFull, then drains and checks ErrDraining.
 func TestManagerBackpressure(t *testing.T) {
