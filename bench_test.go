@@ -104,7 +104,7 @@ func benchSimulated(b *testing.B, kind model.Kind, protocol any, wrap func() pp.
 		if err != nil {
 			b.Fatal(err)
 		}
-		ok, err := eng.RunUntil(func(c pp.Configuration) bool { return done(sim.Project(c)) }, 5_000_000)
+		ok, err := eng.RunUntilProjected(done, 5_000_000)
 		if err != nil || !ok {
 			b.Fatalf("convergence: ok=%v err=%v", ok, err)
 		}

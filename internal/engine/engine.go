@@ -45,6 +45,12 @@ type Engine struct {
 
 	fast *fastPath // lazily-built batched execution state (fast.go)
 
+	// view is RunUntilProjected's projected configuration, kept current by
+	// apply; nil outside that call. viewDirty records that an applied
+	// interaction changed it since the predicate last ran.
+	view      pp.Configuration
+	viewDirty bool
+
 	probe *obs.RunProbe // pull-based progress surface; nil = unarmed
 }
 
@@ -203,29 +209,45 @@ func (e *Engine) apply(it pp.Interaction) error {
 	idx := e.steps
 	e.steps++
 	e.rec.OnInteraction(it)
-	e.emitEvent(idx, it.Starter, s, ns)
-	e.emitEvent(idx, it.Reactor, r, nr)
+	sMoved := e.emitEvent(idx, it.Starter, s, ns)
+	rMoved := e.emitEvent(idx, it.Reactor, r, nr)
+	if e.view != nil {
+		if sMoved {
+			e.view[it.Starter] = sim.ProjectState(ns)
+			e.viewDirty = true
+		}
+		if rMoved {
+			e.view[it.Reactor] = sim.ProjectState(nr)
+			e.viewDirty = true
+		}
+	}
 	return nil
 }
 
 // emitEvent forwards a simulated-state event if the wrapped state's event
-// sequence advanced during this transition.
-func (e *Engine) emitEvent(idx, agent int, before, after pp.State) {
+// sequence advanced during this transition. It reports whether the agent's
+// projection may have changed: a wrapped state changes its simulated state
+// only together with its event sequence (see sim.Wrapped), so that is when
+// an event was forwarded; a non-wrapped state is its own projection and
+// always counts as changed.
+func (e *Engine) emitEvent(idx, agent int, before, after pp.State) bool {
 	wa, ok := after.(sim.Wrapped)
 	if !ok {
-		return
+		return true
 	}
 	var prev uint64
-	if wb, ok := before.(sim.Wrapped); ok {
+	wb, wasWrapped := before.(sim.Wrapped)
+	if wasWrapped {
 		prev = wb.EventSeq()
 	}
 	if wa.EventSeq() == prev {
-		return
+		return !wasWrapped
 	}
 	ev := wa.LastEvent()
 	ev.Index = idx
 	ev.Agent = agent
 	e.rec.OnEvent(ev)
+	return true
 }
 
 // Step consumes one scheduled interaction: it first applies any omissive
@@ -285,6 +307,42 @@ func (e *Engine) RunUntil(pred func(pp.Configuration) bool, maxScheduled int) (b
 			return false, err
 		}
 		if pred(e.cfg) {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// RunUntilProjected is RunUntil with pred evaluated on the projected
+// (simulated) configuration sim.Project(Config()), maintained incrementally:
+// the engine projects the configuration once per call, rewrites the touched
+// agents' entries as interactions apply (adversary injections included), and
+// evaluates pred only after a scheduled step that changed the projection.
+// Since pred sees nothing but the projection, the hitting step, Steps(), the
+// recorded trace and the scheduler stream are those of
+// RunUntil(func(c) bool { return pred(sim.Project(c)) }, maxScheduled).
+//
+// pred receives a read-only view the engine keeps updating: it is valid only
+// during the call, and pred must neither retain nor modify it.
+func (e *Engine) RunUntilProjected(pred func(pp.Configuration) bool, maxScheduled int) (bool, error) {
+	defer e.publishProbe()
+	e.materialize()
+	e.view = sim.Project(e.cfg)
+	defer func() { e.view = nil }()
+	if pred(e.view) {
+		return true, nil
+	}
+	for i := 0; i < maxScheduled; i++ {
+		e.viewDirty = false
+		if err := e.Step(); err != nil {
+			// An exhausted scheduler applied nothing: the view is the one
+			// pred last rejected.
+			if errors.Is(err, ErrExhausted) {
+				return false, nil
+			}
+			return false, err
+		}
+		if e.viewDirty && pred(e.view) {
 			return true, nil
 		}
 	}

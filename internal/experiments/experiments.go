@@ -150,7 +150,7 @@ func runVerified(
 		}
 		m.Converged = true
 	} else {
-		ok, err := eng.RunUntil(func(c pp.Configuration) bool { return pred(sim.Project(c)) }, maxSteps)
+		ok, err := eng.RunUntilProjected(pred, maxSteps)
 		if err != nil {
 			return nil, err
 		}

@@ -23,6 +23,8 @@
 // of the parameters, never of timing or platform.
 package sched
 
+import "math/bits"
+
 // distTail is the relative weight (vs the mode's 1.0) below which the
 // truncated inversion stops extending its window.
 const distTail = 1e-18
@@ -56,53 +58,33 @@ func (h *HypSampler) Draw(rng *BufStream, N, K, n int64) int64 {
 	if lo >= hi {
 		return lo // single-point support: deterministic, no draw
 	}
-	// Mode of the pmf: ⌊(n+1)(K+1)/(N+2)⌋, clamped into the support.
-	mode := (n + 1) * (K + 1) / (N + 2)
+	// Mode of the pmf: ⌊(n+1)(K+1)/(N+2)⌋, clamped into the support. From
+	// N = 2³¹ on, the products below can pass 2⁶³ (at K ≈ n ≈ N/2 they do
+	// from N ≈ 6·10⁹), so they are formed in 128 bits.
+	narrow := N < 1<<31
+	var mode int64
+	if narrow {
+		mode = (n + 1) * (K + 1) / (N + 2)
+	} else {
+		phi, plo := bits.Mul64(uint64(n+1), uint64(K+1))
+		q, _ := bits.Div64(phi, plo, uint64(N+2)) // the quotient is below N+1
+		mode = int64(q)
+	}
 	if mode < lo {
 		mode = lo
 	}
 	if mode > hi {
 		mode = hi
 	}
-	// Grow the weight window outward from the mode. Upward ratio
-	// p(k+1)/p(k) = (K−k)(n−k) / ((k+1)(N−K−n+k+1)); downward is its
-	// reciprocal shifted. The integer products stay below 2⁶³ for any
-	// population this package addresses (N ≤ 2⁶² would already overflow the
-	// caller's counts), and converting them to float64 rounds correctly.
-	w := h.w[:0]
-	w = append(w, 1.0)
-	total := 1.0
-	// Upward from the mode.
-	wk := 1.0
-	for k := mode; k < hi; k++ {
-		num := float64((K - k) * (n - k))
-		den := float64((k + 1) * (N - K - n + k + 1))
-		r := num / den
-		wk = wk * r
-		if wk < distTail {
-			break
-		}
-		w = append(w, wk)
-		total = total + wk
+	var up int
+	var total, sumDown float64
+	if narrow {
+		h.w, up, total, sumDown = hypWindow(h.w[:0], N, K, n, lo, hi, mode)
+	} else {
+		h.w, up, total, sumDown = hypWindowWide(h.w[:0], N, K, n, lo, hi, mode)
 	}
-	up := len(w) // window entries at indices mode..mode+up−1
-	// Downward from the mode.
-	wk = 1.0
-	sumDown := 0.0
-	for k := mode; k > lo; k-- {
-		num := float64(k * (N - K - n + k))
-		den := float64((K - k + 1) * (n - k + 1))
-		r := num / den
-		wk = wk * r
-		if wk < distTail {
-			break
-		}
-		w = append(w, wk)
-		total = total + wk
-		sumDown = sumDown + wk
-	}
+	w := h.w
 	down := len(w) - up // window entries at indices mode−1..mode−down
-	h.w = w
 
 	u := uniform53(rng.Uint64())
 	target := u * total
@@ -133,6 +115,95 @@ func (h *HypSampler) Draw(rng *BufStream, N, K, n int64) int64 {
 		}
 	}
 	return mode - int64(down)
+}
+
+// hypWindow grows the weight window outward from the mode, for N < 2³¹.
+// Upward ratio p(k+1)/p(k) = (K−k)(n−k) / ((k+1)(N−K−n+k+1)); downward is
+// its reciprocal shifted. Every factor is at most N+1, so each int64 product
+// stays below 2⁶³ and converts to float64 correctly rounded. w[0] is the
+// mode's weight, w[1:up] the upward weights, w[up:] the downward ones;
+// sumDown is the downward weights' sum.
+func hypWindow(w []float64, N, K, n, lo, hi, mode int64) (_ []float64, up int, total, sumDown float64) {
+	w = append(w, 1.0)
+	total = 1.0
+	wk := 1.0
+	for k := mode; k < hi; k++ {
+		num := float64((K - k) * (n - k))
+		den := float64((k + 1) * (N - K - n + k + 1))
+		r := num / den
+		wk = wk * r
+		if wk < distTail {
+			break
+		}
+		w = append(w, wk)
+		total = total + wk
+	}
+	up = len(w)
+	wk = 1.0
+	for k := mode; k > lo; k-- {
+		num := float64(k * (N - K - n + k))
+		den := float64((K - k + 1) * (n - k + 1))
+		r := num / den
+		wk = wk * r
+		if wk < distTail {
+			break
+		}
+		w = append(w, wk)
+		total = total + wk
+		sumDown = sumDown + wk
+	}
+	return w, up, total, sumDown
+}
+
+// hypWindowWide is hypWindow for N ≥ 2³¹, with the ratio products formed
+// by mulFloat. It is a loop of its own because a 128-bit fallback inside
+// hypWindow slows every draw by about 1.4× on x86-64, even untaken.
+func hypWindowWide(w []float64, N, K, n, lo, hi, mode int64) (_ []float64, up int, total, sumDown float64) {
+	w = append(w, 1.0)
+	total = 1.0
+	wk := 1.0
+	for k := mode; k < hi; k++ {
+		num := mulFloat(K-k, n-k)
+		den := mulFloat(k+1, N-K-n+k+1)
+		r := num / den
+		wk = wk * r
+		if wk < distTail {
+			break
+		}
+		w = append(w, wk)
+		total = total + wk
+	}
+	up = len(w)
+	wk = 1.0
+	for k := mode; k > lo; k-- {
+		num := mulFloat(k, N-K-n+k)
+		den := mulFloat(K-k+1, n-k+1)
+		r := num / den
+		wk = wk * r
+		if wk < distTail {
+			break
+		}
+		w = append(w, wk)
+		total = total + wk
+		sumDown = sumDown + wk
+	}
+	return w, up, total, sumDown
+}
+
+// mulFloat returns the product of two non-negative int64s, formed in 128
+// bits, as a float64. Below 2⁶⁴ it is the correctly rounded conversion of
+// the exact product — for products below 2⁶³, the value float64(a*b) has —
+// and from 2⁶⁴ on float64(hi)·2⁶⁴ + float64(lo), within a few roundings of
+// the product and still a fixed sequence of IEEE-754 operations, so
+// deterministic.
+func mulFloat(a, b int64) float64 {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi == 0 {
+		return float64(lo)
+	}
+	h := float64(hi) * 0x1p64
+	l := float64(lo)
+	return h + l
 }
 
 // BinSampler draws binomial variates with a reusable weight window, by the

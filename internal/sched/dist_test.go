@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -214,6 +216,80 @@ func TestSplitCounts(t *testing.T) {
 		}
 		if got := firstMeans[q] / trials; math.Abs(got-want) > 0.06*float64(counts[q])+2 {
 			t.Errorf("state %d: slice-0 mean %.1f, want %.1f", q, got, want)
+		}
+	}
+}
+
+// TestHypergeomPastInt64Products draws at N = 10¹⁰ with K ≈ n ≈ N/2 — the
+// sharded×counts hybrid's two-slice re-deal of a 10¹⁰-agent population —
+// where the pmf's mode and ratio products pass 2⁶³.
+func TestHypergeomPastInt64Products(t *testing.T) {
+	const N, K, n = int64(10_000_000_000), int64(5_000_012_345), int64(5_000_000_000)
+	rng := NewBufStream(NewStream(11))
+	var h HypSampler
+	const draws = 300
+	var sum, sum2 float64
+	for i := 0; i < draws; i++ {
+		k := h.Draw(&rng, N, K, n)
+		if k < 0 || k > n {
+			t.Fatalf("draw %d outside support [0,%d]", k, n)
+		}
+		sum += float64(k)
+		sum2 += float64(k) * float64(k)
+	}
+	mean := sum / draws
+	varr := sum2/draws - mean*mean
+	wantMean := float64(n) * float64(K) / float64(N)
+	wantVar := wantMean * (1 - float64(K)/float64(N)) * float64(N-n) / float64(N-1)
+	if tol := 6 * math.Sqrt(wantVar/draws); math.Abs(mean-wantMean) > tol {
+		t.Errorf("mean %.1f, want %.1f ± %.1f", mean, wantMean, tol)
+	}
+	if math.Abs(varr-wantVar) > 0.3*wantVar {
+		t.Errorf("var %.4g, want %.4g ± 30%%", varr, wantVar)
+	}
+
+	counts := []int64{K, N - K}
+	out := [][]int64{make([]int64, 2), make([]int64, 2)}
+	h.SplitCounts(&rng, counts, []int64{n, N - n}, out)
+	if out[0][0]+out[0][1] != n || out[0][0]+out[1][0] != K || out[0][1]+out[1][1] != N-K {
+		t.Fatalf("split %v does not partition counts %v into sizes [%d %d]", out, counts, n, N-n)
+	}
+	if d := math.Abs(float64(out[0][0]) - wantMean); d > 8*math.Sqrt(wantVar) {
+		t.Errorf("slice 0 holds %d marked agents, %.1f σ from the mean", out[0][0], d/math.Sqrt(wantVar))
+	}
+}
+
+// TestWideWindowMatchesNarrow pins the 128-bit path to the int64 one
+// wherever the int64 products do not overflow, so every draw that never
+// overflowed keeps its exact value: mulFloat equals float64(a*b), and the
+// two window builders agree weight for weight.
+func TestWideWindowMatchesNarrow(t *testing.T) {
+	rng := NewStream(5)
+	for i := 0; i < 100_000; i++ {
+		a := int64(rng.Uint64() >> (1 + rng.Uint64()%63))
+		b := int64(rng.Uint64() >> (1 + rng.Uint64()%63))
+		if hi, lo := bits.Mul64(uint64(a), uint64(b)); hi != 0 || lo >= 1<<63 {
+			continue
+		}
+		if got, want := mulFloat(a, b), float64(a*b); got != want {
+			t.Fatalf("mulFloat(%d, %d) = %v, want %v", a, b, got, want)
+		}
+	}
+	if got, want := mulFloat(1<<40, 1<<40), 0x1p80; got != want {
+		t.Fatalf("mulFloat(2⁴⁰, 2⁴⁰) = %v, want %v", got, want)
+	}
+	for _, c := range []struct{ N, K, n int64 }{
+		{100, 30, 10},
+		{1_000_000, 250_000, 10_000},
+		{4_400_000, 2_933_334, 2642},
+		{1<<31 - 1, 1 << 30, 1 << 29},
+	} {
+		lo, hi := max(0, c.n+c.K-c.N), min(c.n, c.K)
+		mode := min(max((c.n+1)*(c.K+1)/(c.N+2), lo), hi)
+		w, up, total, sumDown := hypWindow(nil, c.N, c.K, c.n, lo, hi, mode)
+		ww, wup, wtotal, wsumDown := hypWindowWide(nil, c.N, c.K, c.n, lo, hi, mode)
+		if up != wup || total != wtotal || sumDown != wsumDown || !slices.Equal(w, ww) {
+			t.Fatalf("N=%d K=%d n=%d: wide window differs from the narrow one", c.N, c.K, c.n)
 		}
 	}
 }

@@ -189,13 +189,18 @@ func sideEvent(before, after pp.State) *verify.Event {
 func Project(c pp.Configuration) pp.Configuration {
 	out := make(pp.Configuration, len(c))
 	for i, s := range c {
-		if w, ok := s.(Wrapped); ok {
-			out[i] = w.Simulated()
-			continue
-		}
-		out[i] = s
+		out[i] = ProjectState(s)
 	}
 	return out
+}
+
+// ProjectState is piP on one state: the simulated state of a wrapped state,
+// the state itself otherwise.
+func ProjectState(s pp.State) pp.State {
+	if w, ok := s.(Wrapped); ok {
+		return w.Simulated()
+	}
+	return s
 }
 
 // MemoryBytes is implemented by wrapped states that can report the

@@ -390,12 +390,21 @@ func (s *System) RunStepsBatch(k int) error {
 }
 
 // RunUntil steps until pred holds on the *simulated* (projected)
-// configuration or the horizon expires; reports whether pred was met.
+// configuration or the horizon of scheduled interactions expires; reports
+// whether pred was met. The engine stops exactly at the hitting step.
+//
+// pred runs once on entry and then only after interactions that change the
+// simulated configuration: a simulator agent's simulated state moves only
+// with a simulation event, so for the paper's simulators that is once every
+// tens to hundreds of interactions, and pred must depend on the
+// configuration alone. It receives a read-only view that the system keeps
+// updating in place; the view is valid only during the call, so pred must
+// neither keep nor mutate it (Clone it to keep a copy).
 func (s *System) RunUntil(pred func(Configuration) bool, horizon int) (bool, error) {
 	if s.countsNative() {
 		return false, ErrCountsOnly
 	}
-	return s.eng.RunUntil(func(c Configuration) bool { return pred(sim.Project(c)) }, horizon)
+	return s.eng.RunUntilProjected(pred, horizon)
 }
 
 // RunUntilEvery is RunUntil over the batched fast path, evaluating the
