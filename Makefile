@@ -26,17 +26,11 @@ bench-e2e:
 	done
 
 # Enforce the ns/op budgets locally — the same perf/budgets_*.json rules CI
-# applies to the BENCH_counts and BENCH_sharded artifacts.
+# applies to the BENCH_* artifacts.
 gate:
 	{ $(GO) test -run '^$$' -bench 'CountEngineThroughput' -benchtime 2000000x . ; \
 	  $(GO) test -run '^$$' -bench 'RunUntilArming' -benchtime 200000x . ; } \
 	    | $(GO) run ./cmd/benchgate -budgets perf/budgets_counts.json
-	@if [ "$$(getconf _NPROCESSORS_ONLN)" -ge 4 ]; then \
-	  $(GO) test -run '^$$' -bench 'EngineThroughputSharded' -benchtime 2000000x -cpu 4 . \
-	      | $(GO) run ./cmd/benchgate -budgets perf/budgets_sharded.json ; \
-	else \
-	  echo "skipping sharded gate: P=4 workers serialize below 4 cores (CI enforces it on 4-core runners)" ; \
-	fi
 	$(GO) test -run '^$$' -bench 'EdgeSampler' -benchtime 2000000x ./internal/sched \
 	    | $(GO) run ./cmd/benchgate -budgets perf/budgets_topology.json
 	@if [ "$$(getconf _NPROCESSORS_ONLN)" -ge 4 ]; then \
@@ -57,8 +51,6 @@ baseline:
 	{ $(GO) test -run '^$$' -bench 'CountEngineThroughput' -benchtime 2000000x -count 3 . ; \
 	  $(GO) test -run '^$$' -bench 'RunUntilArming' -benchtime 200000x -count 3 . ; } \
 	    | $(GO) run ./cmd/benchgate -extract > perf/baseline_counts.txt
-	$(GO) test -run '^$$' -bench 'EngineThroughputSharded' -benchtime 2000000x -count 3 . \
-	    | $(GO) run ./cmd/benchgate -extract > perf/baseline_sharded.txt
 
 # Run the simulation job server (see cmd/popsimd for the flag set and
 # internal/serve for the API).
@@ -77,11 +69,11 @@ loadtest:
 	    | tee BENCH_serve.json
 
 # Refresh the committed PGO profiles: profile the hot benchmark families
-# (count sampler, sharded workers, batched engine, wrapped simulators) and
+# (count sampler, batched engine, wrapped simulators) and
 # install the profile as default.pgo next to each main package — go ≥ 1.21
 # consumes it automatically on `go build`.
 pgo:
-	$(GO) test -run '^$$' -bench 'CountEngineThroughput|EngineThroughputSharded|EngineThroughputLarge|SimWrapped$$' \
+	$(GO) test -run '^$$' -bench 'CountEngineThroughput|EngineThroughputLarge|SimWrapped$$' \
 	    -benchtime 1000000x -cpuprofile cpu.prof -o bench.test .
 	$(GO) tool pprof -proto cpu.prof > cmd/ppsim/default.pgo
 	cp cmd/ppsim/default.pgo cmd/experiments/default.pgo

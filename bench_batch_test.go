@@ -89,14 +89,14 @@ func BenchmarkBatchConsensus(b *testing.B) {
 	})
 }
 
-// BenchmarkHybridThroughput measures the sharded×counts hybrid against the
+// BenchmarkHybridThroughput measures the counts hybrid against the
 // sequential batch tier on the same counts-native n = 10⁸ majority
 // population. Each worker owns a private counts vector over an n/P slice
 // and advances it with the same collision-aware batch dynamics; slices
 // re-mix through multivariate-hypergeometric splits at epoch barriers. On
 // the 4-vCPU CI runners the P=4 row is gated at ≤ 0.5× the seq-batch row
 // (≥ 2× speedup); on a single-core host the P rows serialize and only
-// measure coordination overhead (P=1 budgeted at 1.3× in the sharded set).
+// measure coordination overhead.
 func BenchmarkHybridThroughput(b *testing.B) {
 	const n = 100_000_000
 	b.Run("seq-batch", func(b *testing.B) {

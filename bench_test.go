@@ -15,7 +15,6 @@ import (
 	"popsim/internal/engine"
 	"popsim/internal/experiments"
 	"popsim/internal/model"
-	"popsim/internal/par"
 	"popsim/internal/pp"
 	"popsim/internal/protocols"
 	"popsim/internal/sched"
@@ -405,46 +404,6 @@ func BenchmarkFacade(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineThroughputSharded measures the sharded execution mode
-// (internal/par) against the sequential batched fast path on the majority
-// workload at n = 10⁵, across shard counts. The sharded rows pay the
-// epoch-exchange overhead (~n/P deals per P·Epoch/P interactions per
-// worker); on a multi-core host P=4 clears 2.5× over seq-batch, while on a
-// single-core host they serialize and only measure the overhead.
-func BenchmarkEngineThroughputSharded(b *testing.B) {
-	const n = 100_000
-	b.Run("seq-batch", func(b *testing.B) {
-		eng, err := engine.New(model.TW, protocols.Majority{}, protocols.MajorityConfig(n/2, n/2), sched.NewRandom(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.StepBatch(1); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		if _, err := eng.StepBatch(b.N); err != nil {
-			b.Fatal(err)
-		}
-	})
-	for _, p := range []int{1, 2, 4, 8} {
-		p := p
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			sr, err := par.NewSharded(model.TW, protocols.Majority{}, protocols.MajorityConfig(n/2, n/2),
-				1, par.ShardedOptions{Shards: p})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sr.RunSteps(1); err != nil { // warm caches and buckets
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			if err := sr.RunSteps(b.N); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
 // BenchmarkEnsembleSweep measures the ensemble layer end to end: K seeded
 // majority convergence runs (n = 512) fanned across the worker pool, the
 // shape of every multi-seed sweep in the experiment harness.
@@ -475,10 +434,9 @@ func BenchmarkEnsembleSweep(b *testing.B) {
 // BenchmarkSimWrapped measures wrapped-simulator throughput — the
 // fault-tolerant simulation regime the canonical behavioral keys unlock:
 // SKnO(o=0) over majority under IT (the Corollary-1 simulator), n = 256,
-// stepwise slow path vs interned batched fast path vs sharded P ∈ {2, 4}
-// (events recorded everywhere, as simulator runs do). CI publishes this
-// family as the BENCH_sim.json artifact, tracking the simulation-regime
-// speedup the way BENCH_sharded.json tracks native multi-core scaling.
+// stepwise slow path vs interned batched fast path (events recorded in
+// both, as simulator runs do). CI publishes this family as the
+// BENCH_sim.json artifact, tracking the simulation-regime speedup.
 func BenchmarkSimWrapped(b *testing.B) {
 	const n = 256
 	s := sim.SKnO{P: protocols.Majority{}, O: 0}
@@ -515,23 +473,6 @@ func BenchmarkSimWrapped(b *testing.B) {
 		}
 		b.ReportMetric(float64(eng.InternedStates()), "states")
 	})
-	for _, p := range []int{2, 4} {
-		p := p
-		b.Run(fmt.Sprintf("sharded/P=%d", p), func(b *testing.B) {
-			sr, err := par.NewSharded(model.IT, s, mkCfg(), 1,
-				par.ShardedOptions{Shards: p, RecordEvents: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sr.RunSteps(1); err != nil { // warm caches and buckets
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			if err := sr.RunSteps(b.N); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
 }
 
 // BenchmarkCountEngineThroughput measures raw stepping on the counts

@@ -18,10 +18,10 @@
 //	  {"name": "counts-inner-loop",
 //	   "bench": "^BenchmarkCountEngineThroughput/counts/",
 //	   "max_ns_op": 20},
-//	  {"name": "sharded-P4-overhead",
-//	   "bench": "^BenchmarkEngineThroughputSharded/P=4",
-//	   "base": "^BenchmarkEngineThroughputSharded/seq-batch",
-//	   "max_ratio": 1.15}
+//	  {"name": "hybrid-P4-speedup",
+//	   "bench": "^BenchmarkHybridThroughput/P=4",
+//	   "base": "^BenchmarkHybridThroughput/seq-batch",
+//	   "max_ratio": 0.5}
 //	]}
 //
 // An absolute rule (max_ns_op) bounds every matching row's ns/op; its

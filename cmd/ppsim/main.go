@@ -10,9 +10,6 @@
 //	      -omission-rate 0.05 -omission-budget 2            # Theorem 4.1
 //	ppsim -protocol leader -sim sid -model IO -n 8          # Theorem 4.5
 //	ppsim -protocol majority -sim naming -model IO -n 8     # Theorem 4.6
-//	ppsim -protocol majority -n 100000 -shards 4            # multi-core run
-//	ppsim -protocol majority -sim skno -o 0 -model IT \
-//	      -n 256 -shards 4                                  # multi-core simulation
 //	ppsim -protocol majority -n 1000 -runs 50               # seed ensemble
 //	ppsim -protocol majority -n 1000000 -counts             # O(|Q|) counts backend
 //	ppsim -protocol majority -n 100000000 -counts \
@@ -60,7 +57,7 @@ func run(args []string) error {
 	horizon := fs.Int("horizon", 2_000_000, "max scheduled interactions")
 	omRate := fs.Float64("omission-rate", 0, "adversary omission rate per scheduled interaction")
 	omBudget := fs.Int("omission-budget", -1, "adversary omission budget (-1 = unbounded)")
-	shards := fs.Int("shards", 0, "run sharded on P worker shards (multi-core; native or simulated protocols, no adversary)")
+	shards := fs.Int("shards", 0, "with -counts: run the counts hybrid on P workers (multi-core, no adversary)")
 	runs := fs.Int("runs", 0, "run an ensemble of this many seeds (seed, seed+1, …) and print aggregates")
 	workers := fs.Int("workers", 0, "ensemble worker pool bound (0 = GOMAXPROCS)")
 	counts := fs.Bool("counts", false, "run with a count predicate (O(|Q|) observation; large populations execute on the counts backend, no adversary)")
@@ -93,8 +90,8 @@ job server accepts — see internal/serve.Spec for the schema).`)
 	if *shards < 0 || *runs < 0 || *workers < 0 {
 		return fmt.Errorf("-shards, -runs and -workers must be ≥ 0")
 	}
-	if *shards > 0 && *runs > 0 {
-		return fmt.Errorf("-shards and -runs are mutually exclusive")
+	if *shards > 0 && !*counts {
+		return fmt.Errorf("-shards needs -counts: the multi-core single run is -counts -shards P (the counts hybrid); seed ensembles use -runs")
 	}
 	if *counts && *runs > 0 {
 		return fmt.Errorf("-counts is mutually exclusive with -runs")
@@ -219,7 +216,7 @@ job server accepts — see internal/serve.Spec for the schema).`)
 
 	// -progress: arm the system's probe and follow it from a ticker
 	// goroutine. The probe travels with the run across backend selection
-	// (counts, batch, hybrid, sharded, degrades), so one reporter covers
+	// (counts, batch, hybrid, degrades), so one reporter covers
 	// every single-run mode below.
 	var stopProgress func()
 	armProgress := func(sys *popsim.System) {
@@ -244,7 +241,7 @@ job server accepts — see internal/serve.Spec for the schema).`)
 			return err
 		}
 		armProgress(sys)
-		// -counts -shards P: the sharded×counts hybrid — P workers each
+		// -counts -shards P: the counts hybrid — P workers each
 		// stepping batch dynamics over an O(|Q|) count slice, the parallel
 		// tier for populations whose per-agent form does not fit.
 		if *shards > 0 {
@@ -278,37 +275,6 @@ job server accepts — see internal/serve.Spec for the schema).`)
 			fmt.Printf("backend=%s steps=%d simulated-events=%d converged=%v\n", res.Backend, res.Steps, res.SimEvents, res.Converged)
 		} else {
 			fmt.Printf("backend=%s steps=%d converged=%v\n", res.Backend, res.Steps, res.Converged)
-		}
-		if !res.Converged {
-			return fmt.Errorf("did not converge within %d interactions", *horizon)
-		}
-		return nil
-	}
-
-	// Sharded mode: one run on P worker shards (count-based observation;
-	// adversaries stay on the sequential engine). Simulator runs shard too —
-	// their canonical state keys keep the interned space bounded — recording
-	// simulation events through per-shard buffers; if the state space
-	// outgrows the sharded bound anyway, the run degrades to the sequential
-	// batched engine and reports why.
-	if *shards > 0 {
-		sys, err := popsim.NewSystem(spec)
-		if err != nil {
-			return err
-		}
-		armProgress(sys)
-		res, err := sys.RunSharded(popsim.ShardedOptions{Shards: *shards}, w.Done(*n), 0, *horizon)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("protocol=%s sim=%s model=%v topology=%v n=%d shards=%d\n", *protoName, orNative(*simName), kind, topo, *n, *shards)
-		if res.Degraded {
-			fmt.Printf("degraded to the sequential batched engine: %s\n", res.DegradedReason)
-		}
-		if spec.Simulate != nil {
-			fmt.Printf("steps=%d simulated-events=%d converged=%v\n", res.Steps, res.SimEvents, res.Converged)
-		} else {
-			fmt.Printf("steps=%d converged=%v\n", res.Steps, res.Converged)
 		}
 		if !res.Converged {
 			return fmt.Errorf("did not converge within %d interactions", *horizon)

@@ -136,23 +136,16 @@ func TestRunSpecExclusiveWithFlags(t *testing.T) {
 	}
 }
 
-func TestRunSharded(t *testing.T) {
-	if err := run([]string{"-protocol", "majority", "-n", "300", "-shards", "2", "-seed", "4",
-		"-horizon", "5000000"}); err != nil {
-		t.Fatalf("sharded run: %v", err)
+// TestRunShardsNeedsCounts: the only multi-core single run is the counts
+// hybrid, so -shards without -counts fails and names the mode to use.
+func TestRunShardsNeedsCounts(t *testing.T) {
+	err := run([]string{"-protocol", "majority", "-n", "300", "-shards", "2", "-seed", "4"})
+	if err == nil || !strings.Contains(err.Error(), "-counts -shards") {
+		t.Fatalf("-shards without -counts: err = %v, want one naming -counts -shards", err)
 	}
 }
 
-// TestRunShardedSimulator: wrapped simulators run sharded too (canonical
-// state keys keep the interned space bounded).
-func TestRunShardedSimulator(t *testing.T) {
-	if err := run([]string{"-protocol", "majority", "-sim", "skno", "-o", "0", "-model", "IT",
-		"-n", "64", "-shards", "2", "-seed", "5", "-horizon", "5000000"}); err != nil {
-		t.Fatalf("sharded simulator run: %v", err)
-	}
-}
-
-// TestRunHybridCounts: -counts -shards composes into the sharded×counts
+// TestRunHybridCounts: -counts -shards composes into the counts
 // hybrid, and -batch pins the counts backend's sampling tier.
 func TestRunHybridCounts(t *testing.T) {
 	if err := run([]string{"-protocol", "majority", "-n", "2048", "-counts", "-shards", "2",
@@ -186,7 +179,7 @@ func TestRunRejectsBadParallelFlags(t *testing.T) {
 		{"-shards", "-1"},
 		{"-runs", "-2"},
 		{"-workers", "-1"},
-		{"-shards", "2", "-runs", "2"},       // mutually exclusive
+		{"-shards", "2", "-runs", "2"},       // -shards needs -counts
 		{"-seed", "notanumber"},              // flag parse error
 		{"-n", "x"},                          // flag parse error
 		{"-horizon", "true"},                 // flag parse error
@@ -258,21 +251,21 @@ func TestRunCountsRejectsBadCombos(t *testing.T) {
 	}
 }
 
-func TestRunShardedRejectsAdversary(t *testing.T) {
-	// Sharded mode cannot host an omission adversary; the facade must
-	// refuse rather than silently drop the faults.
-	err := run([]string{"-protocol", "majority", "-n", "100", "-shards", "2", "-omission-rate", "0.1"})
-	if err == nil {
-		t.Fatal("sharded run with adversary accepted")
+func TestRunHybridRejectsAdversary(t *testing.T) {
+	// The hybrid (-counts -shards) cannot host an omission adversary; the
+	// facade must refuse rather than silently drop the faults.
+	err := run([]string{"-protocol", "majority", "-n", "100", "-counts", "-shards", "2", "-omission-rate", "0.1"})
+	if !errors.Is(err, popsim.ErrCountsSpec) {
+		t.Fatalf("hybrid run with adversary: err = %v, want ErrCountsSpec", err)
 	}
 }
 
 func TestRunNonConvergenceIsAnError(t *testing.T) {
 	// A horizon far too small must surface as a non-convergence error, in
-	// all three modes.
+	// every mode.
 	for _, args := range [][]string{
 		{"-protocol", "leader", "-n", "64", "-horizon", "10"},
-		{"-protocol", "leader", "-n", "64", "-horizon", "10", "-shards", "2"},
+		{"-protocol", "leader", "-n", "64", "-horizon", "10", "-counts", "-shards", "2"},
 		{"-protocol", "leader", "-n", "64", "-horizon", "10", "-runs", "2"},
 		{"-protocol", "leader", "-n", "64", "-horizon", "10", "-counts"},
 	} {
@@ -284,8 +277,7 @@ func TestRunNonConvergenceIsAnError(t *testing.T) {
 }
 
 // TestRunTopology drives -topology through every execution mode: native,
-// counts, sharded (block-local graph), sharded-degrade (scattered graph) and
-// ensemble.
+// counts and ensemble.
 func TestRunTopology(t *testing.T) {
 	cases := [][]string{
 		{"-protocol", "or", "-topology", "cycle", "-n", "64", "-seed", "3"},
@@ -296,8 +288,6 @@ func TestRunTopology(t *testing.T) {
 		{"-protocol", "walkmajority", "-topology", "cycle", "-n", "32", "-seed", "5", "-horizon", "20000000"},
 		{"-protocol", "walkleader", "-topology", "cycle", "-n", "16", "-seed", "5", "-horizon", "20000000"},
 		{"-protocol", "or", "-topology", "cycle", "-n", "64", "-counts", "-seed", "3"},
-		{"-protocol", "or", "-topology", "cycle", "-n", "256", "-shards", "2", "-seed", "2", "-horizon", "50000000"},
-		{"-protocol", "or", "-topology", "powerlaw:3", "-n", "256", "-shards", "4", "-seed", "2"}, // degrades, still converges
 		{"-protocol", "or", "-topology", "cycle", "-n", "64", "-runs", "3", "-seed", "9", "-horizon", "5000000"},
 	}
 	for _, args := range cases {

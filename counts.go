@@ -286,7 +286,7 @@ type CountsRunResult struct {
 }
 
 // ErrCountsSpec reports a system spec outside the count-predicate runs'
-// contract: like sharded runs, they are detached executions on fresh
+// contract: like hybrid runs, they are detached executions on fresh
 // engines, so specs carrying a custom Scheduler (whose stream position
 // belongs to the system's own engine) or an Adversary (stateful; a detached
 // run would mutate it behind the system's back) are rejected.
@@ -317,7 +317,7 @@ var ErrCountsSpec = errors.New("popsim: spec not runnable with count predicates"
 // DefaultCountBatchN agents). Counts-native systems (InitialCounts) always
 // run the counts backend, whatever the population size, and surface
 // state-space overflow as the error instead of degrading. Specs carrying a custom Scheduler or an Adversary are not runnable
-// detached and return ErrCountsSpec. Like RunSharded, the run starts
+// detached and return ErrCountsSpec. Like RunHybridCounts, the run starts
 // from the system's current configuration and leaves the system's own
 // engine, scheduler position and trace untouched. A counts run whose state
 // space outgrows its bound mid-way degrades to the batched engine (the
@@ -383,8 +383,7 @@ func (s *System) RunUntilCounts(pred func(*StateCounts) bool, every, horizon int
 
 // freshBatchedEngine builds a detached batched engine from cfg with the
 // system's tuning limits and a fresh recorder — the construction shared by
-// every facade fallback path (sharded degrade, counts degrade, small-n
-// counts runs).
+// the counts degrade path and small-n counts runs.
 func (s *System) freshBatchedEngine(protocol any, cfg Configuration) (*trace.Recorder, *engine.Engine, error) {
 	rec := &trace.Recorder{}
 	opts := []engine.Option{engine.WithRecorder(rec)}

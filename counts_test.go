@@ -189,82 +189,6 @@ func TestRunUntilCountsRejectsCustomScheduling(t *testing.T) {
 	}
 }
 
-func TestRunShardedCounts(t *testing.T) {
-	sys, err := popsim.NewSystem(countsMajoritySpec(140, 116, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.RunShardedCounts(popsim.ShardedOptions{Shards: 2}, allOutput("A"), 128, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || res.Degraded {
-		t.Fatalf("unexpected result: %+v", res)
-	}
-	if !protocols.MajorityConverged(res.Final, "A") {
-		t.Fatal("final configuration not converged to A")
-	}
-}
-
-// TestRunShardedCountsDegradedSimulator: the count-predicate sharded entry
-// point must take the same degrade path as RunSharded, with the predicate
-// still evaluated (on the O(n) fallback form) and the reason preserved.
-func TestRunShardedCountsDegradedSimulator(t *testing.T) {
-	n := 48
-	s := popsim.SID(protocols.Majority{})
-	sys, err := popsim.NewSystem(popsim.SystemSpec{
-		Model:    popsim.IO,
-		Simulate: &s,
-		Initial:  protocols.MajorityConfig(n/2+6, n/2-6),
-		Seed:     4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.RunShardedCounts(popsim.ShardedOptions{Shards: 2, MaxStates: 16}, allOutput("A"), 64, 5_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded || res.DegradedReason == "" {
-		t.Fatalf("expected degraded run, got %+v", res)
-	}
-	if !res.Converged || !protocols.MajorityConverged(res.Final, "A") {
-		t.Fatalf("degraded count-predicate run did not converge: %+v", res)
-	}
-}
-
-// TestSystemRunShardedDegradedReasonRoundTrip (satellite): the sharded
-// degrade reason must survive the facade round-trip verbatim enough to
-// diagnose — naming the protocol, the bound and the state-space failure.
-func TestSystemRunShardedDegradedReasonRoundTrip(t *testing.T) {
-	n := 64
-	s := popsim.SID(protocols.Majority{})
-	sys, err := popsim.NewSystem(popsim.SystemSpec{
-		Model:    popsim.IO,
-		Simulate: &s,
-		Initial:  protocols.MajorityConfig(n/2+6, n/2-6),
-		Seed:     3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.RunSharded(popsim.ShardedOptions{Shards: 2, MaxStates: 16}, nil, 0, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded {
-		t.Fatalf("over-bound wrapped spec did not degrade: %+v", res)
-	}
-	for _, want := range []string{"state space", "sid", "16"} {
-		if !strings.Contains(strings.ToLower(res.DegradedReason), want) {
-			t.Errorf("DegradedReason %q missing %q", res.DegradedReason, want)
-		}
-	}
-	if res.Steps != 2000 {
-		t.Fatalf("degraded run consumed %d steps, want 2000", res.Steps)
-	}
-}
-
 // TestRunEnsembleCancellationMidSweep (satellite): cancelling the context
 // while runs are in flight must stop the sweep promptly, marking the
 // interrupted and never-started runs with the cancellation error.

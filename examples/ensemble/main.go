@@ -1,7 +1,6 @@
 // Ensemble: sweep the exact-majority protocol across 32 seeds on a bounded
-// worker pool (popsim.RunEnsemble), print the hitting-time statistics, then
-// re-run the median seed's workload sharded across 4 worker shards
-// (System.RunSharded) — the two layers of the parallel execution subsystem.
+// worker pool (popsim.RunEnsemble) and print the hitting-time statistics —
+// the parallelism small populations get from seeds.
 //
 //	go run ./examples/ensemble
 package main
@@ -30,7 +29,7 @@ func run() error {
 		Initial:  protocols.MajorityConfig(n/2+16, n/2-16), // A leads by 32
 	}
 
-	// Layer 1: the seed ensemble. 32 independent runs fan out across the
+	// The seed ensemble: 32 independent runs fan out across the
 	// worker pool; hitting times are exact (the batched fast path bisects
 	// the predicate-flipping chunk).
 	res, err := popsim.RunEnsemble(context.Background(), popsim.EnsembleSpec{
@@ -48,21 +47,5 @@ func run() error {
 	fmt.Printf("hitting times: mean %.0f, p50 %.0f, p90 %.0f interactions\n",
 		res.MeanSteps, res.StepsP50, res.StepsP90)
 
-	// Layer 2: one large run sharded across 4 workers. Sharded execution
-	// is deterministic per (seed, P) and statistically equivalent to the
-	// sequential scheduler; observation is count-based at epoch barriers.
-	sys, err := popsim.NewSystem(spec)
-	if err != nil {
-		return err
-	}
-	sharded, err := sys.RunSharded(popsim.ShardedOptions{Shards: 4}, done, 0, 50_000_000)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("sharded P=4: converged=%v after %d interactions\n", sharded.Converged, sharded.Steps)
-	fmt.Printf("final A-voters: %d of %d agents\n",
-		sharded.Final.CountFunc(func(s popsim.State) bool {
-			return (protocols.Majority{}).Output(s) == "A"
-		}), len(sharded.Final))
 	return nil
 }

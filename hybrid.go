@@ -8,8 +8,7 @@ import (
 	"popsim/internal/pp"
 )
 
-// HybridOptions tune hybrid (sharded×counts) execution; see
-// par.HybridOptions.
+// HybridOptions tune hybrid execution; see par.HybridOptions.
 type HybridOptions = par.HybridOptions
 
 // HybridResult is the outcome of one hybrid run.
@@ -25,7 +24,7 @@ type HybridResult struct {
 	// backend ("counts"/"counts-batch") that absorbed a degraded run.
 	Backend string
 	// Degraded reports that the hybrid could not hold the run — the
-	// interned state space outgrew the sharded dense-mirror bound — and the
+	// interned state space outgrew the hybrid's bound — and the
 	// run was executed on the sequential counts backend instead, from the
 	// system's current configuration, for the full horizon. DegradedReason
 	// carries the hybrid failure.
@@ -39,8 +38,8 @@ type HybridResult struct {
 	Final *StateCounts
 }
 
-// RunHybridCounts executes this system's workload on P sharded×counts
-// hybrid workers (par.HybridRunner): each worker owns a full O(|Q|) counts
+// RunHybridCounts executes this system's workload on P counts hybrid
+// workers (par.HybridRunner): each worker owns a full O(|Q|) counts
 // vector over a population slice and steps the collision-aware batch
 // dynamics locally, exchanging population via multivariate-hypergeometric
 // splits at epoch barriers — the parallel tier of the counts backend, built
@@ -52,12 +51,12 @@ type HybridResult struct {
 //
 // Hybrid execution is a distinct execution mode: determinism is per
 // (seed, P) — not per seed alone — and equivalence with the sequential
-// samplers is statistical, like RunSharded and the batch tier it builds on.
+// samplers is statistical, like the batch tier it builds on.
 // The annealed counts contract applies: complete and other
 // vertex-transitive topologies only (the engine rejects the rest). The
 // system's own engine, scheduler position and trace are untouched; specs
 // carrying a custom Scheduler or an Adversary return ErrCountsSpec. If the
-// interned state space outgrows the sharded bound — at construction or
+// interned state space outgrows the hybrid's bound — at construction or
 // mid-run — the run degrades to the sequential counts backend (whose
 // overflow map absorbs wider state spaces) instead of failing: the result
 // carries Degraded and the hybrid failure as DegradedReason. The view
@@ -70,25 +69,21 @@ func (s *System) RunHybridCounts(opts HybridOptions, pred func(*StateCounts) boo
 	protocol := s.spec.Protocol
 	if s.spec.Simulate != nil {
 		protocol = s.spec.Simulate.Protocol
-		// Count-only tracking, as in RunSharded: the facade reports
-		// SimEvents; counts agents have no identity to attribute a full
-		// event stream to.
+		// Count-only tracking: the facade reports SimEvents; counts agents
+		// have no identity to attribute a full event stream to.
 		opts.TrackEvents = true
 	}
 	// Inherit the system's fast-path state bound as a default, clamped to
-	// the sharded subsystem's dense-mirror cap; an explicit opts.MaxStates
-	// wins (NewHybrid rejects values above the cap loudly).
+	// the hybrid's cap; an explicit opts.MaxStates wins (NewHybrid rejects
+	// values above the cap loudly).
 	if opts.MaxStates <= 0 && s.spec.MaxFastStates > 0 {
-		opts.MaxStates = s.spec.MaxFastStates
-		if opts.MaxStates > par.MaxShardedStates {
-			opts.MaxStates = par.MaxShardedStates
-		}
+		opts.MaxStates = min(s.spec.MaxFastStates, par.MaxHybridStates)
 	}
 	// The hybrid steps complete-graph batch dynamics per slice; under the
 	// counts backend's annealed contract that is exactly the mean-field
 	// dynamics of any vertex-transitive topology, and the rest are outside
-	// the counts contract altogether (quenched graphical runs use
-	// RunSharded, which pins vertices to shards).
+	// the counts contract altogether (quenched graphical runs stay on the
+	// sequential edge-sampling engine).
 	if !s.spec.Topology.VertexTransitive() {
 		return nil, errors.Join(ErrCountsSpec, errors.New("topology "+s.spec.Topology.String()+" is outside the annealed counts contract"))
 	}
@@ -137,8 +132,8 @@ func (s *System) RunHybridCounts(opts HybridOptions, pred func(*StateCounts) boo
 	return res, nil
 }
 
-// runHybridDegraded is RunHybridCounts's fallback: the hybrid's dense-only
-// state bound overflowed, so the run executes on the sequential counts
+// runHybridDegraded is RunHybridCounts's fallback: the hybrid's state bound
+// overflowed, so the run executes on the sequential counts
 // backend — same seed, from the system's current configuration, full
 // horizon — whose overflow map tolerates the wider state space. A further
 // counts failure (the sequential bound overflowed too) surfaces as the

@@ -93,9 +93,6 @@ func TestCountsNativeSystem(t *testing.T) {
 	if cfg := sys.Config(); cfg != nil {
 		t.Fatalf("Config = %d agents, want nil", len(cfg))
 	}
-	if _, err := sys.RunSharded(popsim.ShardedOptions{}, nil, 0, 100); !errors.Is(err, popsim.ErrShardedSpec) {
-		t.Fatalf("RunSharded: %v", err)
-	}
 
 	// The counts backend serves the run, on the batch tier.
 	res, err := sys.RunUntilCounts(allOutput("A"), 1<<16, 400*n)

@@ -12,7 +12,7 @@
 // per interaction, the counts backend a few operations on a vector that fits
 // in L1.
 //
-// The contract mirrors the sharded runner's, not the batched fast path's:
+// The contract mirrors the hybrid runner's, not the batched fast path's:
 // counts execution is a DISTINCT execution mode. Determinism is per
 // (seed, block length); equivalence with the sequential scheduler is exact
 // in distribution below the block threshold (per-pair sampling — the count
@@ -109,7 +109,7 @@ type CountOptions struct {
 	// run boundaries.
 	Batch BatchMode
 	// TrackEvents counts the simulation events of wrapped simulator states,
-	// like the sharded runner's option of the same name: one counter, no
+	// like the hybrid runner's option of the same name: one counter, no
 	// event values built or retained. Read the total with EventCount.
 	TrackEvents bool
 	// Topology names the interaction graph family. The zero value (complete)

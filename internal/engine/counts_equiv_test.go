@@ -19,7 +19,7 @@ import (
 // the batched agent-vector fast path within tolerance, for every
 // protocol × interaction model, in both sampler modes (exact per-pair and
 // block sampling), plus the wrapped fault-tolerant simulators (SKnO, SID,
-// Naming). Tolerances follow the sharded suite's: ~3× headroom over
+// Naming). Tolerances leave ~3× headroom over
 // observed gaps, so the suite catches sampling-model regressions, not RNG
 // noise. CI runs this suite under the race detector as the counts smoke
 // step.
@@ -34,7 +34,7 @@ type ceqWorkload struct {
 	proto      pp.TwoWay
 	cfg        func(n int) pp.Configuration
 	done       func(n int) func(pp.Configuration) bool
-	oneWayDone bool // see the sharded suite: some predicates stall one-way
+	oneWayDone bool // some predicates stall one-way
 }
 
 func ceqWorkloads() []ceqWorkload {

@@ -19,7 +19,7 @@ import (
 	"popsim/internal/sim"
 )
 
-// Aux bits memoized per cached transition (shared with the sharded runner):
+// Aux bits memoized per cached transition (shared with the hybrid runner):
 // whether the starter/reactor result advanced its simulation-event sequence,
 // i.e. whether applying the transition must forward an event to the trace
 // recorder. Precomputing this keeps state inspection out of the batch loop.

@@ -108,54 +108,16 @@ func Perf(cfg Config) (*Result, error) {
 	}
 	res.Tables = append(res.Tables, tbl)
 
-	// Multi-core scaling: the sharded execution mode (package par) against
-	// the sequential batched fast path on one large majority run, and the
-	// ensemble layer fanning seeds across the pool. On a single-core host
-	// the sharded rows cost barrier overhead and win nothing — the paired
-	// throughput benchmarks (BenchmarkEngineThroughputSharded) track the
-	// scaling curve per P.
-	nBig, steps := 100_000, 2_000_000
 	runs := 8
 	if cfg.Quick {
-		nBig, steps, runs = 2_000, 100_000, 3
+		runs = 3
 	}
 	w = workloads()[1] // majority
-	shard := report.NewTable("Sharded execution vs sequential batch (majority)",
-		"engine", "n", "steps", "wall time", "ns/step")
-	shard.Caption = "Sharded rows run the par.ShardedRunner mode: per-(seed,P) deterministic, statistically equivalent scheduling."
-	{
-		start := time.Now()
-		eng, err := engine.New(model.TW, w.proto, w.cfg(nBig), sched.NewRandom(cfg.Seed))
-		if err != nil {
-			return nil, err
-		}
-		if err := eng.RunStepsBatch(steps); err != nil {
-			return nil, err
-		}
-		el := time.Since(start)
-		shard.AddRow("sequential batch", nBig, steps, el.Round(time.Microsecond),
-			float64(el.Nanoseconds())/float64(steps))
-	}
-	for _, p := range []int{1, 2, 4} {
-		sr, err := par.NewSharded(model.TW, w.proto, w.cfg(nBig), cfg.Seed, par.ShardedOptions{Shards: p})
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if err := sr.RunSteps(steps); err != nil {
-			return nil, err
-		}
-		el := time.Since(start)
-		shard.AddRow(fmt.Sprintf("sharded P=%d", sr.Shards()), nBig, steps, el.Round(time.Microsecond),
-			float64(el.Nanoseconds())/float64(steps))
-		check(res, sr.Steps() == steps, "sharded P=%d applied %d steps", p, sr.Steps())
-	}
-	res.Tables = append(res.Tables, shard)
 
 	// The simulation regime: wrapped simulators were historically the only
 	// workloads locked out of the fast paths (their provenance-bearing keys
 	// made every state unique); canonical behavioral keys make them
-	// cacheable, batchable and shardable. thm31-style workload: SKnO(o=0)
+	// cacheable and batchable. thm31-style workload: SKnO(o=0)
 	// over majority under IT (Corollary 1), convergence to the projected
 	// majority verdict.
 	nSim, simHorizon := 128, 50_000_000
@@ -164,7 +126,7 @@ func Perf(cfg Config) (*Result, error) {
 	}
 	simTbl := report.NewTable("Cacheable fault-tolerant simulation — SKnO(o=0)/majority under IT",
 		"engine", "n", "steps", "sim events", "wall time", "ns/step")
-	simTbl.Caption = "Canonical behavioral keys let wrapped runs hit the transition cache; sharded rows record events via per-shard buffers."
+	simTbl.Caption = "Canonical behavioral keys let wrapped runs hit the transition cache."
 	sSim := sim.SKnO{P: w.proto, O: 0}
 	simInit := w.cfg(nSim)
 	simDone := func(c pp.Configuration) bool { return w.done(nSim)(sim.Project(c)) }
@@ -209,23 +171,6 @@ func Perf(cfg Config) (*Result, error) {
 	}
 	check(res, batchSteps >= seqSteps, "batched sim run stopped at a chunk boundary ≥ stepwise hit (%d vs %d)",
 		batchSteps, seqSteps)
-	// Sharded P ∈ {2, 4} (distinct execution mode; statistical equivalence).
-	for _, p := range []int{2, 4} {
-		sr, err := par.NewSharded(model.IT, sSim, sSim.WrapConfig(simInit), cfg.Seed,
-			par.ShardedOptions{Shards: p, RecordEvents: true})
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		_, ok, err := sr.RunUntil(simDone, 256, simHorizon)
-		if err != nil {
-			return nil, err
-		}
-		el := time.Since(start)
-		simTbl.AddRow(fmt.Sprintf("sharded P=%d", sr.Shards()), nSim, sr.Steps(), len(sr.Events()),
-			el.Round(time.Microsecond), float64(el.Nanoseconds())/float64(max(1, sr.Steps())))
-		check(res, ok, "SKnO sim sharded P=%d n=%d converged", p, nSim)
-	}
 	res.Tables = append(res.Tables, simTbl)
 
 	// Ensemble orchestration: K seeded convergence runs on the pool.

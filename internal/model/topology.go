@@ -5,8 +5,7 @@
 //
 // A Topology names a graph family (plus its parameter); Build instantiates
 // it for a population size and seed as a Graph — a CSR adjacency the edge
-// schedulers (sched.EdgeRandom) and the topology-aware sharded runner sample
-// from. Randomized families (random d-regular, preferential attachment) are
+// schedulers (sched.EdgeRandom) sample from. Randomized families (random d-regular, preferential attachment) are
 // deterministic per (n, seed): the same spec always yields the same graph,
 // which is what makes topology part of a scenario's content-addressed
 // identity (serve.Spec).
@@ -49,7 +48,7 @@ const (
 )
 
 // topologyStreamIndex is the sched.SplitStream index family the graph
-// generators draw from — far above any worker-shard index and distinct from
+// generators draw from — far above any hybrid worker index and distinct from
 // the counts sampler's stream, so a topology build never shares draws with
 // the execution that runs on it.
 const topologyStreamIndex = 1 << 27

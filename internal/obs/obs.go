@@ -34,9 +34,7 @@ const (
 	// TierCountsBatch is the counts backend on collision-aware batch
 	// dynamics.
 	TierCountsBatch
-	// TierSharded is the sharded agent-vector runner.
-	TierSharded
-	// TierHybrid is the sharded×counts hybrid runner.
+	// TierHybrid is the parallel counts hybrid runner.
 	TierHybrid
 )
 
@@ -49,8 +47,6 @@ func (t Tier) String() string {
 		return "counts"
 	case TierCountsBatch:
 		return "counts-batch"
-	case TierSharded:
-		return "sharded"
 	case TierHybrid:
 		return "hybrid"
 	}

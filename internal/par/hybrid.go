@@ -1,37 +1,41 @@
-// The sharded×counts hybrid tier: P workers each own a full O(|Q|) counts
-// vector over a population *slice* of n/P agents, step whole collision-aware
-// batch runs locally with their own sched.BatchScheduler, and re-deal the
-// pooled population between slices with an exact multivariate-hypergeometric
-// split (sched.HypSampler.SplitCounts) at epoch barriers. This composes the
-// two scaling levers the package and the engine provide separately:
+// The counts hybrid tier: P workers each own a full O(|Q|) counts vector
+// over a population *slice* of n/P agents, step whole collision-aware batch
+// runs locally with their own sched.BatchScheduler, and re-deal the pooled
+// population between slices with an exact multivariate-hypergeometric split
+// (sched.HypSampler.SplitCounts) at epoch barriers. Two levers compose:
 //
 //   - the counts representation makes per-slice storage O(|Q|), not O(n/P),
 //     so n = 10⁸–10⁹ fits in a few KB per worker;
 //   - batch runs apply Θ(√(n/P)) interactions per O(|Q|²) aggregate pass,
 //     so per-interaction cost vanishes as n grows;
-//   - P slices step concurrently between barriers, like ShardedRunner.
+//   - P slices step concurrently between barriers.
 //
 // # Statistical contract
 //
-// Like the sharded runner, the hybrid's interaction law is NOT the global
-// uniform pairing: between barriers agents only meet slice-mates, and the
-// MVH re-deal at each epoch barrier re-mixes the population exactly as a
-// uniform random re-partition would. With the default epoch (3·(n/P)
-// interactions per worker ≈ 3 parallel time units between re-mixes) the
-// trajectory distributions of the protocols in this repository are
-// indistinguishable from the sequential batch engine's by the equivalence
-// suite (convergence times, transient marginals). Population protocols'
-// convergence guarantees hold under any fair scheduler; the hybrid is one.
+// The hybrid's interaction law is NOT the global uniform pairing: between
+// barriers agents only meet slice-mates, and the MVH re-deal at each epoch
+// barrier re-mixes the population exactly as a uniform random re-partition
+// would. With the default epoch (3·(n/P) interactions per worker ≈ 3
+// parallel time units between re-mixes) the trajectory distributions of the
+// protocols in this repository are indistinguishable from the sequential
+// batch engine's by the equivalence suite (convergence times, transient
+// marginals). Population protocols' convergence guarantees hold under any
+// fair scheduler; the hybrid is one.
 //
 // # Determinism
 //
 // A hybrid run is a pure function of (seed, P): worker w draws from stream
 // CountStreamIndex+1+w, the exchange deal from CountStreamIndex+1+P, and
 // wave barriers only observe — they never perturb a worker's draw sequence.
-// Call granularity (RunSteps chunking, RunUntilCounts evaluation cadence)
-// does not change the trajectory, only where it is observed. Changing P
-// changes the trajectory (it changes the law's slice structure), exactly as
-// it does for ShardedRunner.
+// Dense state IDs are minted only by the coordinator, never by a worker: a
+// worker whose transition yields a state nobody has interned parks at that
+// cell, and the coordinator mints for the parked workers one at a time,
+// earliest in-epoch position first (ties to the lower worker index). The
+// ID order — which the batch sampler and the exchange walk — is therefore
+// independent of goroutine scheduling. Call granularity (RunSteps chunking,
+// RunUntilCounts evaluation cadence) does not change the trajectory, only
+// where it is observed. Changing P changes the trajectory (it changes the
+// law's slice structure).
 //
 // # Step accounting
 //
@@ -45,6 +49,7 @@
 package par
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -57,18 +62,60 @@ import (
 	"popsim/internal/sim"
 )
 
+// Errors.
+var (
+	// ErrHybrid is returned for invalid hybrid-runner configurations.
+	ErrHybrid = errors.New("par: invalid hybrid configuration")
+	// ErrStateSpace is returned when the interned state space outgrows the
+	// hybrid's bound — at construction (too many distinct initial states)
+	// or mid-run (the run keeps minting new states). Callers that can
+	// should degrade to a sequential engine (System.RunHybridCounts does so
+	// automatically, reporting the reason).
+	ErrStateSpace = errors.New("par: state space exceeds the hybrid bound")
+)
+
+// MaxHybridStates caps HybridOptions.MaxStates. The per-worker dense
+// mirrors stay table-friendly regardless (they cap their stride at 1024 and
+// spill to per-worker overflow maps), so the bound's job is to keep the
+// overflow maps and the shared interner from growing without limit —
+// wrapped simulators with canonical keys accumulate a long tail of rare
+// queue-content states on top of a small hot set, which is why the cap sits
+// well above the finite-protocol default. Even wider state spaces stay on
+// the sequential engines.
+const MaxHybridStates = 1 << 15
+
+// protocolName names a protocol for error context, when it can.
+func protocolName(p any) string {
+	if n, ok := p.(interface{ Name() string }); ok {
+		return n.Name()
+	}
+	return fmt.Sprintf("%T", p)
+}
+
+// stateSpaceErr is the single construction site for ErrStateSpace: every
+// report carries the same wording, the protocol name and — mid-run — the
+// worker whose transition hit the bound.
+func stateSpaceErr(protocol any, worker, states, bound int) error {
+	where := "initial configuration"
+	if worker >= 0 {
+		where = fmt.Sprintf("worker %d", worker)
+	}
+	return fmt.Errorf("%w: protocol %s: %d distinct states > %d (%s)",
+		ErrStateSpace, protocolName(protocol), states, bound, where)
+}
+
 // HybridOptions tune a HybridRunner. The zero value picks defaults.
 type HybridOptions struct {
 	// Shards is the worker count P. 0 means GOMAXPROCS; the value is
 	// clamped to n/2 so every slice holds at least two agents.
 	Shards int
 	// Epoch is the nominal number of interactions each worker applies
-	// between exchange barriers. 0 means 3·(n/P), floored at 64 — the same
-	// re-mixing cadence the sharded runner uses, ≈ 3 parallel time units.
+	// between exchange barriers. 0 means 3·(n/P), floored at 64: a
+	// re-mix every ≈ 3 parallel time units.
 	Epoch int
 	// MaxStates bounds the interned state space (0 = 1024, or
-	// MaxShardedStates for wrapped simulator states). Values above
-	// MaxShardedStates are rejected. Beyond the bound the run fails with
+	// MaxHybridStates for wrapped simulator states). Values above
+	// MaxHybridStates are rejected. Beyond the bound the run fails with
 	// ErrStateSpace; callers should degrade to the sequential engine.
 	MaxStates int
 	// TrackEvents counts the simulation events of wrapped simulator states
@@ -87,11 +134,13 @@ type HybridRunner struct {
 	p           int
 	epoch       int
 	maxStates   int
+	kind        model.Kind
 	protocol    any
 	trackEvents bool
 
-	// mu guards the shared interner and transition cache on worker cold
-	// paths; everything else is coordinator-owned or worker-private.
+	// mu guards the transition cache on worker cold paths. Workers only
+	// read the interner; the coordinator mints between waves, when no
+	// worker runs. Everything else is coordinator-owned or worker-private.
 	mu    sync.Mutex
 	in    *pp.Interner
 	cache *model.TransitionCache
@@ -119,8 +168,8 @@ type HybridRunner struct {
 
 // hybridWorker is one count-sliced batch worker. Hot, per-interaction-pass
 // storage (counts, used, dense mirror) is allocated cache-line-aligned and
-// the struct itself is padded, for the same reason shardWorker is: no two
-// workers' wave-time writes may share a coherence line.
+// the struct itself is padded: no two workers' wave-time writes may share a
+// coherence line.
 type hybridWorker struct {
 	_ [cacheLine]byte
 
@@ -131,6 +180,17 @@ type hybridWorker struct {
 	bs     *sched.BatchScheduler
 	counts pp.Counts // slice-local counts, len kept ≥ minted IDs
 	used   []int64   // post-state multiset of the active run
+
+	// The run in flight (nil between runs) and where to resume it: the
+	// next cell, and the collision pair once drawn. A worker parks when a
+	// transition needs a state nobody has interned (parked, with the pair
+	// in ps, pr) and resumes at the same cell once the coordinator minted.
+	run      *sched.BatchRun
+	cell     int
+	collided bool
+	cs, cr   uint32
+	parked   bool
+	ps, pr   uint32
 
 	target  int // cumulative nominal in-epoch target (set by stepWave)
 	done    int // in-epoch interactions applied (≥ target after a wave)
@@ -152,7 +212,7 @@ type hybridWorker struct {
 // For populations too large to materialize, use NewHybridFromCounts.
 func NewHybrid(k model.Kind, protocol any, initial pp.Configuration, seed int64, opts HybridOptions) (*HybridRunner, error) {
 	if len(initial) < 2 {
-		return nil, fmt.Errorf("%w: population size %d < 2", ErrSharded, len(initial))
+		return nil, fmt.Errorf("%w: population size %d < 2", ErrHybrid, len(initial))
 	}
 	states := make([]pp.State, len(initial))
 	counts := make(pp.Counts, len(initial))
@@ -170,33 +230,33 @@ func NewHybrid(k model.Kind, protocol any, initial pp.Configuration, seed int64,
 // draws), so the t=0 slice contents are already an exact uniform partition.
 func NewHybridFromCounts(k model.Kind, protocol any, states []pp.State, counts pp.Counts, seed int64, opts HybridOptions) (*HybridRunner, error) {
 	if len(states) != len(counts) {
-		return nil, fmt.Errorf("%w: %d states vs %d counts", ErrSharded, len(states), len(counts))
+		return nil, fmt.Errorf("%w: %d states vs %d counts", ErrHybrid, len(states), len(counts))
 	}
 	var n64 int64
 	for i, c := range counts {
 		if c < 0 {
-			return nil, fmt.Errorf("%w: negative count %d for state %d", ErrSharded, c, i)
+			return nil, fmt.Errorf("%w: negative count %d for state %d", ErrHybrid, c, i)
 		}
 		n64 += c
 	}
 	if n64 < 2 {
-		return nil, fmt.Errorf("%w: population size %d < 2", ErrSharded, n64)
+		return nil, fmt.Errorf("%w: population size %d < 2", ErrHybrid, n64)
 	}
 	if int64(int(n64)) != n64 {
-		return nil, fmt.Errorf("%w: population size %d overflows int", ErrSharded, n64)
+		return nil, fmt.Errorf("%w: population size %d overflows int", ErrHybrid, n64)
 	}
 	n := int(n64)
 	if k.OneWay() {
 		if _, ok := protocol.(pp.OneWay); !ok {
-			return nil, fmt.Errorf("%w: model %v needs a pp.OneWay protocol", ErrSharded, k)
+			return nil, fmt.Errorf("%w: model %v needs a pp.OneWay protocol", ErrHybrid, k)
 		}
 	} else if _, ok := protocol.(pp.TwoWay); !ok {
-		return nil, fmt.Errorf("%w: model %v needs a pp.TwoWay protocol", ErrSharded, k)
+		return nil, fmt.Errorf("%w: model %v needs a pp.TwoWay protocol", ErrHybrid, k)
 	}
 	wrapped := sim.AnyWrapped(states)
 	if wrapped && !sim.Canonicalized(states) {
 		return nil, fmt.Errorf("%w: protocol %s: wrapped states without canonical keys (sim.CanonicalKeyed) cannot be interned; run on the sequential engine",
-			ErrSharded, protocolName(protocol))
+			ErrHybrid, protocolName(protocol))
 	}
 	p := opts.Shards
 	if p <= 0 {
@@ -219,12 +279,12 @@ func NewHybridFromCounts(k model.Kind, protocol any, states []pp.State, counts p
 	if maxStates <= 0 {
 		maxStates = 1024
 		if wrapped {
-			maxStates = MaxShardedStates
+			maxStates = MaxHybridStates
 		}
 	}
-	if maxStates > MaxShardedStates {
+	if maxStates > MaxHybridStates {
 		return nil, fmt.Errorf("%w: MaxStates %d > %d (wider state spaces stay on the sequential engine)",
-			ErrSharded, maxStates, MaxShardedStates)
+			ErrHybrid, maxStates, MaxHybridStates)
 	}
 
 	in := pp.NewInterner()
@@ -241,6 +301,7 @@ func NewHybridFromCounts(k model.Kind, protocol any, states []pp.State, counts p
 		p:           p,
 		epoch:       epoch,
 		maxStates:   maxStates,
+		kind:        k,
 		protocol:    protocol,
 		trackEvents: opts.TrackEvents,
 		in:          in,
@@ -441,27 +502,68 @@ func (hr *HybridRunner) stepWave(quota int) error {
 			w.target++
 		}
 	}
-	if probe := hr.probe; probe != nil {
-		waveStart := time.Now()
-		hr.parallel(func(w *hybridWorker) {
+	step := (*hybridWorker).stepTo
+	probe := hr.probe
+	var waveStart time.Time
+	if probe != nil {
+		waveStart = time.Now()
+		step = func(w *hybridWorker) {
 			busyStart := time.Now()
 			w.stepTo()
-			wc := probe.Worker(w.idx)
-			wc.AddBusy(time.Since(busyStart))
-			wc.AddSteps(w.applied) // reset by merge, so this is the wave's share
-		})
-		probe.AddWave(time.Since(waveStart))
-	} else {
-		hr.parallel(func(w *hybridWorker) { w.stepTo() })
+			probe.Worker(w.idx).AddBusy(time.Since(busyStart))
+		}
+	}
+	hr.parallel(step)
+	// Parked workers resume one at a time, earliest in-epoch position first.
+	// Every worker still running has passed that position, so no state can
+	// be needed earlier than the one minted here: IDs come out in the same
+	// order however the caller chunks the run.
+	for w := hr.nextParked(); w != nil; w = hr.nextParked() {
+		if err := hr.mint(w); err != nil {
+			return err
+		}
+		step(w)
 	}
 	for _, w := range hr.workers {
 		if w.err != nil {
 			return w.err
 		}
 	}
+	if probe != nil {
+		for _, w := range hr.workers {
+			probe.Worker(w.idx).AddSteps(w.applied) // reset by merge, so this is the wave's share
+		}
+		probe.AddWave(time.Since(waveStart))
+	}
 	hr.sinceEx = newPos
 	hr.merge()
 	hr.publishProbe()
+	return nil
+}
+
+// nextParked returns the parked worker whose run started earliest in the
+// epoch, the lower index on ties, or nil when no worker is parked.
+func (hr *HybridRunner) nextParked() *hybridWorker {
+	var next *hybridWorker
+	for _, w := range hr.workers {
+		if w.parked && (next == nil || w.done < next.done) {
+			next = w
+		}
+	}
+	return next
+}
+
+// mint evaluates the transition a parked worker waits on, interning its
+// result states, and unparks the worker. Only the coordinator calls it,
+// between waves, so the interner never changes while workers run.
+func (hr *HybridRunner) mint(w *hybridWorker) error {
+	w.parked = false
+	if _, err := hr.cache.Apply(w.ps, w.pr, pp.OmissionNone); err != nil {
+		return err
+	}
+	if states := hr.in.Len(); states > hr.maxStates {
+		return stateSpaceErr(hr.protocol, w.idx, states, hr.maxStates)
+	}
 	return nil
 }
 
@@ -532,44 +634,52 @@ func (w *hybridWorker) grow(nStates int) {
 }
 
 // stepTo applies whole batch runs on the worker's slice until its in-epoch
-// count reaches the wave target. Each run is an aggregate O(|Q|²) cell pass
-// plus one individually resolved collision — the engine's batch fast path,
-// minus truncation: the worker never stops mid-run.
+// count reaches the wave target, or until it parks. Each run is an aggregate
+// O(|Q|²) cell pass plus one individually resolved collision — the engine's
+// batch fast path, minus truncation: the worker never stops mid-run except
+// to park, and then resumes where it stopped.
 func (w *hybridWorker) stepTo() {
-	for w.done < w.target {
-		run := w.bs.NextRun(w.counts)
-		for i := range w.used {
-			w.used[i] = 0
+	for w.run != nil || w.done < w.target {
+		if w.run == nil {
+			w.run, w.cell = w.bs.NextRun(w.counts), 0
+			for i := range w.used {
+				w.used[i] = 0
+			}
 		}
-		if err := w.applyRun(run); err != nil {
-			w.err = err
+		if !w.applyRun() {
 			return
 		}
-		s, r := w.bs.CollidePair(w.counts, w.used, 2*run.L)
-		if err := w.applyPair(s, r); err != nil {
-			w.err = err
+		if !w.collided {
+			w.cs, w.cr = w.bs.CollidePair(w.counts, w.used, 2*w.run.L)
+			w.collided = true
+		}
+		if !w.applyPair(w.cs, w.cr) {
 			return
 		}
-		steps := int(run.L) + 1
+		steps := int(w.run.L) + 1
 		w.done += steps
 		w.applied += int64(steps)
+		w.run, w.collided = nil, false
 	}
 }
 
-// applyRun applies a run's aggregate state-pair cells to the local counts,
-// accumulating the used-agent post-state multiset for the collision draw.
-func (w *hybridWorker) applyRun(run *sched.BatchRun) error {
+// applyRun applies the run's remaining aggregate state-pair cells to the
+// local counts, accumulating the used-agent post-state multiset for the
+// collision draw. It reports false when the worker parked or failed.
+func (w *hybridWorker) applyRun() bool {
 	dense, stride := w.dense, uint64(w.stride)
-	for _, c := range run.Cells {
+	cells := w.run.Cells
+	for i := w.cell; i < len(cells); i++ {
+		c := cells[i]
 		s, r := c.S, c.R
 		var ent uint64
 		if uint64(s|r) < stride {
 			ent = dense[uint64(s)*stride+uint64(r)]
 		}
 		if ent == 0 {
-			var err error
-			if ent, err = w.lookupCold(s, r); err != nil {
-				return err
+			if ent = w.lookupCold(s, r); ent == 0 {
+				w.cell = i
+				return false
 			}
 			dense, stride = w.dense, uint64(w.stride)
 		}
@@ -590,19 +700,20 @@ func (w *hybridWorker) applyRun(run *sched.BatchRun) error {
 			}
 		}
 	}
-	return nil
+	w.cell = len(cells)
+	return true
 }
 
 // applyPair applies one individually resolved interaction (the collision).
-func (w *hybridWorker) applyPair(s, r uint32) error {
+// It reports false when the worker parked or failed.
+func (w *hybridWorker) applyPair(s, r uint32) bool {
 	var ent uint64
 	if stride := uint64(w.stride); uint64(s|r) < stride {
 		ent = w.dense[uint64(s)*stride+uint64(r)]
 	}
 	if ent == 0 {
-		var err error
-		if ent, err = w.lookupCold(s, r); err != nil {
-			return err
+		if ent = w.lookupCold(s, r); ent == 0 {
+			return false
 		}
 	}
 	ns, nr := model.EntryStarter(ent), model.EntryReactor(ent)
@@ -618,32 +729,57 @@ func (w *hybridWorker) applyPair(s, r uint32) error {
 			w.eventCount++
 		}
 	}
-	return nil
+	return true
 }
 
 // lookupCold resolves a state pair the worker's private mirror does not
 // hold: first its private overflow map, then the shared cache under the
 // mutex, memoizing into the mirror either way and widening the local counts
-// vectors to cover any freshly minted IDs.
-func (w *hybridWorker) lookupCold(s, r uint32) (uint64, error) {
+// vectors to cover IDs minted since. A transition whose result states are
+// not all interned yet parks the worker instead; lookupCold returns 0 then,
+// and also on failure (w.err).
+func (w *hybridWorker) lookupCold(s, r uint32) uint64 {
 	key := uint64(s)<<32 | uint64(r)
 	if ent, ok := w.over[key]; ok {
-		return ent, nil
+		return ent
 	}
 	hr := w.hr
 	hr.mu.Lock()
-	ent, err := hr.cache.Apply(s, r, pp.OmissionNone)
+	ent, err := hr.lookupShared(s, r)
 	states := hr.in.Len()
 	hr.mu.Unlock()
 	if err != nil {
-		return 0, err
+		w.err = err
+		return 0
 	}
-	if states > hr.maxStates {
-		return 0, stateSpaceErr(hr.protocol, w.idx, states, hr.maxStates)
+	if ent == 0 {
+		w.parked, w.ps, w.pr = true, s, r
+		return 0
 	}
 	w.grow(states)
 	w.store(s, r, ent)
-	return ent, nil
+	return ent
+}
+
+// lookupShared returns the shared cache's entry for (s, r), evaluating and
+// caching the transition when both its result states are interned already;
+// 0 means the transition would mint a state, which only the coordinator
+// may do. The caller holds hr.mu.
+func (hr *HybridRunner) lookupShared(s, r uint32) (uint64, error) {
+	if ent, ok := hr.cache.Lookup(s, r); ok {
+		return ent, nil
+	}
+	ns, nr, err := model.Apply(hr.kind, hr.protocol, hr.in.State(s), hr.in.State(r), pp.OmissionNone)
+	if err != nil {
+		return 0, err
+	}
+	if _, ok := hr.in.Lookup(ns); !ok {
+		return 0, nil
+	}
+	if _, ok := hr.in.Lookup(nr); !ok {
+		return 0, nil
+	}
+	return hr.cache.Apply(s, r, pp.OmissionNone)
 }
 
 // store memoizes a transition entry in the worker's private mirror, growing

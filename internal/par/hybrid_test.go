@@ -64,36 +64,58 @@ func TestHybridDeterministicPerSeedP(t *testing.T) {
 }
 
 // TestHybridChunkingInvariance: the trajectory is invariant under RunSteps
-// call granularity — wave barriers observe, they don't perturb.
+// call granularity — wave barriers observe, they don't perturb. The wrapped
+// simulator mints states throughout the run, so its dense IDs must come out
+// in the same order whichever wave a worker first needs them in.
 func TestHybridChunkingInvariance(t *testing.T) {
-	const n, total = 1 << 12, 40_000
-	mk := func() *par.HybridRunner {
-		hr, err := par.NewHybrid(model.TW, protocols.Majority{}, protocols.MajorityConfig(n/2+64, n/2-64),
-			23, par.HybridOptions{Shards: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hr
+	skno := sim.SKnO{P: protocols.Majority{}, O: 0}
+	cases := []struct {
+		name     string
+		k        model.Kind
+		protocol any
+		cfg      func() pp.Configuration
+		n, total int
+	}{
+		{"majority", model.TW, protocols.Majority{},
+			func() pp.Configuration { return protocols.MajorityConfig(1<<11+64, 1<<11-64) }, 1 << 12, 40_000},
+		{"skno", model.IT, skno,
+			func() pp.Configuration { return skno.WrapConfig(protocols.MajorityConfig(136, 120)) }, 256, 20_000},
 	}
-	whole := mk()
-	if err := whole.RunSteps(total); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() *par.HybridRunner {
+				hr, err := par.NewHybrid(tc.k, tc.protocol, tc.cfg(), 23, par.HybridOptions{Shards: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return hr
+			}
+			whole := mk()
+			if err := whole.RunSteps(tc.total); err != nil {
+				t.Fatal(err)
+			}
+			chunked := mk()
+			for applied := 0; applied < tc.total; {
+				k := min(997, tc.total-applied)
+				if err := chunked.RunSteps(k); err != nil {
+					t.Fatal(err)
+				}
+				applied += k
+			}
+			if whole.Steps() != chunked.Steps() {
+				t.Fatalf("steps diverge under chunking: %d vs %d", whole.Steps(), chunked.Steps())
+			}
+			if whole.Interner().Len() != chunked.Interner().Len() {
+				t.Fatalf("interned %d vs %d states", whole.Interner().Len(), chunked.Interner().Len())
+			}
+			for id := 0; id < whole.Interner().Len(); id++ {
+				if a, b := whole.Interner().State(uint32(id)).Key(), chunked.Interner().State(uint32(id)).Key(); a != b {
+					t.Fatalf("state ID %d is %s whole, %s chunked", id, a, b)
+				}
+			}
+			hybCountsEqual(t, "chunked", whole.Counts(), chunked.Counts())
+		})
 	}
-	chunked := mk()
-	for applied := 0; applied < total; {
-		k := 997
-		if total-applied < k {
-			k = total - applied
-		}
-		if err := chunked.RunSteps(k); err != nil {
-			t.Fatal(err)
-		}
-		applied += k
-	}
-	if whole.Steps() != chunked.Steps() {
-		t.Fatalf("steps diverge under chunking: %d vs %d", whole.Steps(), chunked.Steps())
-	}
-	hybCountsEqual(t, "chunked", whole.Counts(), chunked.Counts())
 }
 
 // TestHybridPreservesInvariants: counts stay a non-negative vector summing
@@ -251,16 +273,16 @@ func TestHybridFromCounts(t *testing.T) {
 	}
 
 	if _, err := par.NewHybridFromCounts(model.TW, protocols.Majority{},
-		[]pp.State{cfg[0]}, pp.Counts{1, 1}, 9, par.HybridOptions{}); !errors.Is(err, par.ErrSharded) {
-		t.Fatalf("length mismatch: got %v, want ErrSharded", err)
+		[]pp.State{cfg[0]}, pp.Counts{1, 1}, 9, par.HybridOptions{}); !errors.Is(err, par.ErrHybrid) {
+		t.Fatalf("length mismatch: got %v, want ErrHybrid", err)
 	}
 	if _, err := par.NewHybridFromCounts(model.TW, protocols.Majority{},
-		[]pp.State{cfg[0]}, pp.Counts{-1}, 9, par.HybridOptions{}); !errors.Is(err, par.ErrSharded) {
-		t.Fatalf("negative count: got %v, want ErrSharded", err)
+		[]pp.State{cfg[0]}, pp.Counts{-1}, 9, par.HybridOptions{}); !errors.Is(err, par.ErrHybrid) {
+		t.Fatalf("negative count: got %v, want ErrHybrid", err)
 	}
 	if _, err := par.NewHybridFromCounts(model.TW, protocols.Majority{},
-		[]pp.State{cfg[0]}, pp.Counts{1}, 9, par.HybridOptions{}); !errors.Is(err, par.ErrSharded) {
-		t.Fatalf("population of one: got %v, want ErrSharded", err)
+		[]pp.State{cfg[0]}, pp.Counts{1}, 9, par.HybridOptions{}); !errors.Is(err, par.ErrHybrid) {
+		t.Fatalf("population of one: got %v, want ErrHybrid", err)
 	}
 }
 
@@ -358,8 +380,8 @@ func TestHybridClampsShards(t *testing.T) {
 func TestHybridOneWayModels(t *testing.T) {
 	const n = 256
 	if _, err := par.NewHybrid(model.IO, protocols.Or{}, protocols.OrConfig(10, 2), 1,
-		par.HybridOptions{}); !errors.Is(err, par.ErrSharded) {
-		t.Fatalf("two-way protocol under IO: err = %v, want ErrSharded", err)
+		par.HybridOptions{}); !errors.Is(err, par.ErrHybrid) {
+		t.Fatalf("two-way protocol under IO: err = %v, want ErrHybrid", err)
 	}
 	for _, k := range []model.Kind{model.IT, model.IO} {
 		hr, err := par.NewHybrid(k, pp.OneWayAdapter{P: protocols.Or{}}, protocols.OrConfig(n, 3),

@@ -1,21 +1,22 @@
-// Package par is the sharded parallel execution subsystem: it scales
+// Package par is the parallel execution subsystem: it scales
 // population-protocol workloads across cores along the two axes the
 // engine cannot reach on its own.
 //
-//   - ShardedRunner executes ONE large run on P worker shards, each owning
-//     a contiguous slice of the dense ID-vector configuration and its own
-//     deterministic RNG stream (sched.SplitStream), with a shard exchange
-//     at epoch barriers. This is a distinct execution mode with its own
-//     scheduling contract — see the ShardedRunner doc — equivalent to the
-//     sequential uniform-random scheduler statistically, not step for step.
+//   - HybridRunner executes ONE large counts-native run on P workers, each
+//     owning an O(|Q|) counts vector over a slice of the population and its
+//     own deterministic RNG stream (sched.SplitStream), with an exact
+//     multivariate-hypergeometric re-deal at epoch barriers. This is a
+//     distinct execution mode with its own scheduling contract — see
+//     hybrid.go — equivalent to the sequential uniform-random scheduler
+//     statistically, not step for step.
 //   - Ensemble fans MANY independent seeded runs across a bounded worker
 //     pool with cancellation and per-run results — the shape of every
 //     multi-seed sweep in the experiment harness.
 //
 // Both layers are deterministic for a fixed (seed, parallelism) pair and
-// race-clean: workers share only the memoized transition cache (behind a
-// mutex, consulted on cold state pairs only) and synchronize through
-// barriers otherwise.
+// race-clean: hybrid workers share only the memoized transition cache
+// (behind a mutex, consulted on cold state pairs only) and synchronize
+// through barriers otherwise.
 package par
 
 import (

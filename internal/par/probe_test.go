@@ -8,7 +8,7 @@ import (
 	"popsim/internal/protocols"
 )
 
-// Probe wiring contracts for the parallel runners: barrier-published totals
+// Probe wiring contracts for the hybrid runner: barrier-published totals
 // mirror the runner's own counters, per-worker cells are armed and account
 // for the applied steps, and arming a probe does not perturb the trajectory.
 
@@ -80,37 +80,4 @@ func TestHybridProbeDoesNotPerturb(t *testing.T) {
 		t.Fatalf("steps diverged: %d vs %d", armed.Steps(), bare.Steps())
 	}
 	hybCountsEqual(t, "armed vs bare", armed.Counts(), bare.Counts())
-}
-
-func TestShardedProbe(t *testing.T) {
-	const n = 1 << 12
-	sr, err := par.NewSharded(model.TW, protocols.Majority{}, protocols.MajorityConfig(n/2+64, n/2-64),
-		13, par.ShardedOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := sr.Probe()
-	if err := sr.RunSteps(20_000); err != nil {
-		t.Fatal(err)
-	}
-	snap := probe.Snapshot()
-	if snap.Backend != "sharded" {
-		t.Fatalf("backend = %q, want sharded", snap.Backend)
-	}
-	if snap.Steps != int64(sr.Steps()) {
-		t.Fatalf("probe steps = %d, runner steps = %d", snap.Steps, sr.Steps())
-	}
-	if len(snap.Workers) != sr.Shards() {
-		t.Fatalf("worker cells = %d, want %d", len(snap.Workers), sr.Shards())
-	}
-	var workerSteps int64
-	for _, w := range snap.Workers {
-		workerSteps += w.Steps
-	}
-	if workerSteps != int64(sr.Steps()) {
-		t.Fatalf("worker steps sum to %d, runner applied %d", workerSteps, sr.Steps())
-	}
-	if snap.BatchRuns != 0 {
-		t.Fatalf("sharded runner published batch stats: %d", snap.BatchRuns)
-	}
 }

@@ -5,147 +5,22 @@ import (
 	"strings"
 	"testing"
 
-	"popsim/internal/engine"
 	"popsim/internal/model"
 	"popsim/internal/par"
 	"popsim/internal/pp"
 	"popsim/internal/protocols"
-	"popsim/internal/sched"
 	"popsim/internal/sim"
-	"popsim/internal/trace"
 	"popsim/internal/verify"
 )
 
-// TestShardedWrappedSimulatorConverges: canonical behavioral keys let a
-// wrapped SKnO run shard without ErrStateSpace; the run converges on the
-// projected predicate, records simulation events through the per-shard
-// buffers, and the merged stream's content is δP-consistent per event.
-func TestShardedWrappedSimulatorConverges(t *testing.T) {
-	p := protocols.Majority{}
-	s := sim.SKnO{P: p, O: 0}
-	n := 128
-	simCfg := protocols.MajorityConfig(n/2+8, n/2-8)
-	done := func(c pp.Configuration) bool { return protocols.MajorityConverged(sim.Project(c), "A") }
-	for _, P := range []int{2, 4} {
-		sr, err := par.NewSharded(model.IT, s, s.WrapConfig(simCfg), 5,
-			par.ShardedOptions{Shards: P, MaxStates: par.MaxShardedStates, RecordEvents: true})
-		if err != nil {
-			t.Fatalf("P=%d: %v", P, err)
-		}
-		_, ok, err := sr.RunUntil(done, 0, 5_000_000)
-		if err != nil {
-			t.Fatalf("P=%d: %v", P, err)
-		}
-		if !ok {
-			t.Fatalf("P=%d: wrapped sharded run did not converge", P)
-		}
-		evs := sr.Events()
-		if len(evs) == 0 {
-			t.Fatalf("P=%d: no simulation events recorded", P)
-		}
-		if sr.EventCount() != len(evs) {
-			t.Fatalf("P=%d: EventCount %d != retained stream length %d", P, sr.EventCount(), len(evs))
-		}
-		// Content check: every recorded event is one side of a δP image and
-		// its Index is a barrier step count within the run.
-		for _, ev := range evs {
-			if ev.Index <= 0 || ev.Index > sr.Steps() {
-				t.Fatalf("P=%d: event index %d outside (0, %d]", P, ev.Index, sr.Steps())
-			}
-			var want pp.State
-			switch ev.Role {
-			case verify.SimStarter:
-				want, _ = p.Delta(ev.Pre, ev.PartnerPre)
-			case verify.SimReactor:
-				_, want = p.Delta(ev.PartnerPre, ev.Pre)
-			default:
-				t.Fatalf("P=%d: invalid role %v", P, ev.Role)
-			}
-			if !pp.Equal(ev.Post, want) {
-				t.Fatalf("P=%d: event not a δP image: %v", P, ev)
-			}
-		}
-	}
-}
-
-// TestShardedWrappedEventCountTracksSequential: over a fixed interaction
-// budget, the sharded simulation-event throughput must be in the same regime
-// as the sequential engine's (the statistical-equivalence contract applied
-// to the event stream rather than the configuration).
-func TestShardedWrappedEventCountTracksSequential(t *testing.T) {
-	p := protocols.Majority{}
-	s := sim.SKnO{P: p, O: 0}
-	n := 128
-	simCfg := protocols.MajorityConfig(n/2+8, n/2-8)
-	budget := 40 * n
-
-	seqEvents := 0
-	seeds := []int64{1, 2, 3, 4}
-	for _, seed := range seeds {
-		rec := &trace.Recorder{}
-		eng, err := engine.New(model.IT, s, s.WrapConfig(simCfg), sched.NewRandom(seed), engine.WithRecorder(rec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.RunStepsBatch(budget); err != nil {
-			t.Fatal(err)
-		}
-		seqEvents += len(rec.Events())
-	}
-
-	shardEvents := 0
-	for _, seed := range seeds {
-		sr, err := par.NewSharded(model.IT, s, s.WrapConfig(simCfg), seed,
-			par.ShardedOptions{Shards: 4, MaxStates: par.MaxShardedStates, RecordEvents: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sr.RunSteps(budget); err != nil {
-			t.Fatal(err)
-		}
-		shardEvents += len(sr.Events())
-	}
-	lo, hi := seqEvents/3, seqEvents*3
-	if shardEvents < lo || shardEvents > hi {
-		t.Fatalf("sharded events %d outside [%d, %d] (sequential %d)", shardEvents, lo, hi, seqEvents)
-	}
-}
-
-// TestShardedTrackEventsCountsWithoutRetention: the count-only mode
-// reproduces the RecordEvents total (same seed, same schedule) while
-// retaining nothing.
-func TestShardedTrackEventsCountsWithoutRetention(t *testing.T) {
-	s := sim.SKnO{P: protocols.Majority{}, O: 0}
-	cfg := func() pp.Configuration { return s.WrapConfig(protocols.MajorityConfig(40, 24)) }
-	mk := func(opts par.ShardedOptions) *par.ShardedRunner {
-		opts.Shards = 2
-		sr, err := par.NewSharded(model.IT, s, cfg(), 9, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sr.RunSteps(5000); err != nil {
-			t.Fatal(err)
-		}
-		return sr
-	}
-	full := mk(par.ShardedOptions{RecordEvents: true})
-	count := mk(par.ShardedOptions{TrackEvents: true})
-	if count.EventCount() == 0 || count.EventCount() != full.EventCount() {
-		t.Fatalf("count-only total %d, recorded total %d", count.EventCount(), full.EventCount())
-	}
-	if len(count.Events()) != 0 {
-		t.Fatalf("count-only run retained %d events", len(count.Events()))
-	}
-}
-
-// TestShardedStateSpaceErrorContext: both ErrStateSpace sites — construction
+// TestHybridStateSpaceErrorContext: both ErrStateSpace sites — construction
 // and mid-run — share one wording carrying the protocol name and where the
 // bound was hit.
-func TestShardedStateSpaceErrorContext(t *testing.T) {
+func TestHybridStateSpaceErrorContext(t *testing.T) {
 	// Construction site: SID's n unique IDs exceed a tiny bound immediately.
 	s := sim.SID{P: protocols.Majority{}}
 	wrapped := s.WrapConfig(protocols.MajorityConfig(40, 24))
-	_, err := par.NewSharded(model.IO, s, wrapped, 1, par.ShardedOptions{Shards: 2, MaxStates: 16})
+	_, err := par.NewHybrid(model.IO, s, wrapped, 1, par.HybridOptions{Shards: 2, MaxStates: 16})
 	if !errors.Is(err, par.ErrStateSpace) {
 		t.Fatalf("construction err = %v, want ErrStateSpace", err)
 	}
@@ -157,30 +32,30 @@ func TestShardedStateSpaceErrorContext(t *testing.T) {
 
 	// Mid-run site: SKnO starts from 2 distinct states and mints more.
 	sk := sim.SKnO{P: protocols.Pairing{}, O: 0}
-	sr, err := par.NewSharded(model.IT, sk, sk.WrapConfig(protocols.PairingConfig(16, 16)), 1,
-		par.ShardedOptions{Shards: 2, MaxStates: 16})
+	hr, err := par.NewHybrid(model.IT, sk, sk.WrapConfig(protocols.PairingConfig(16, 16)), 1,
+		par.HybridOptions{Shards: 2, MaxStates: 16})
 	if err != nil {
 		t.Fatalf("construction: %v", err)
 	}
-	err = sr.RunSteps(1_000_000)
+	err = hr.RunSteps(1_000_000)
 	if !errors.Is(err, par.ErrStateSpace) {
 		t.Fatalf("mid-run err = %v, want ErrStateSpace", err)
 	}
-	for _, want := range []string{sk.Name(), "shard "} {
+	for _, want := range []string{sk.Name(), "worker "} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("mid-run error %q misses %q", err, want)
 		}
 	}
 }
 
-// TestShardedRejectsNonCanonicalWrapped: wrapped states without the
+// TestHybridRejectsNonCanonicalWrapped: wrapped states without the
 // canonical-key marker cannot be interned; construction must say so rather
 // than thrash.
-func TestShardedRejectsNonCanonicalWrapped(t *testing.T) {
+func TestHybridRejectsNonCanonicalWrapped(t *testing.T) {
 	cfg := pp.Configuration{ncState{}, ncState{}, ncState{}, ncState{}}
-	_, err := par.NewSharded(model.IO, ncProto{}, cfg, 1, par.ShardedOptions{Shards: 2})
-	if !errors.Is(err, par.ErrSharded) {
-		t.Fatalf("err = %v, want ErrSharded", err)
+	_, err := par.NewHybrid(model.IO, ncProto{}, cfg, 1, par.HybridOptions{Shards: 2})
+	if !errors.Is(err, par.ErrHybrid) {
+		t.Fatalf("err = %v, want ErrHybrid", err)
 	}
 	if !strings.Contains(err.Error(), "canonical") {
 		t.Fatalf("error %q does not explain the canonical-key requirement", err)

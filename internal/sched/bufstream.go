@@ -12,7 +12,7 @@ const rngBufLen = 256
 // per rngBufLen draws, then each Uint64 is a buffer load. The draw sequence
 // is byte-identical to the wrapped Stream's — Uint64, Uint32 and Intn all
 // consume the exact 64-bit draws their Stream counterparts would, in the
-// same order — so the hot paths (the count sampler, the shard workers) can
+// same order — so the hot paths (the count sampler, the hybrid workers) can
 // buffer their draws without changing any execution, and every existing
 // stream-equivalence and determinism test pins the swap.
 //

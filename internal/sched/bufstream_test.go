@@ -23,7 +23,7 @@ func TestFillMatchesUint64(t *testing.T) {
 
 // TestBufStreamIdentity is the buffered-RNG stream-identity test: a
 // BufStream must replay its Stream byte for byte across every derivation the
-// parallel subsystem uses (NewStream, and SplitStream shard/count indices),
+// parallel subsystem uses (NewStream, and SplitStream worker/count indices),
 // through multiple refill sweeps.
 func TestBufStreamIdentity(t *testing.T) {
 	for _, seed := range []int64{0, 1, -9, 1 << 40} {
@@ -42,7 +42,7 @@ func TestBufStreamIdentity(t *testing.T) {
 // TestBufStreamIntnIdentity: Intn must consume the same underlying draws and
 // return the same values as Stream.Intn, including across interleaved
 // Uint64/Uint32/Intn calls (the consumption patterns of the count sampler
-// and the shard workers).
+// and the hybrid workers).
 func TestBufStreamIntnIdentity(t *testing.T) {
 	raw := SplitStream(11, 2)
 	buf := NewBufStream(SplitStream(11, 2))

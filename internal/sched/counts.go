@@ -42,7 +42,7 @@ package sched
 //     (2B)²/(2n) ≤ 1/2 per block — a per-interaction perturbation
 //     probability of O(1/√n), vanishing exactly in the regime where the
 //     block mode is selected and far below the epoch-local mixing loss the
-//     sharded runner's statistical-equivalence contract already tolerates.
+//     hybrid runner's statistical-equivalence contract already tolerates.
 //     The counts-vs-batched equivalence suite (internal/engine) pins final
 //     count and convergence-step distributions for every protocol × model.
 //
@@ -83,7 +83,7 @@ package sched
 //
 // # Stream contract
 //
-// CountScheduler draws from the SplitMix64 Stream family, like the sharded
+// CountScheduler draws from the SplitMix64 Stream family, like the hybrid
 // runner's workers and unlike the sequential schedulers' lagged-Fibonacci
 // ring: count-level executions are a distinct execution mode with a
 // statistical (not replay) equivalence contract, so they use the generator
@@ -92,9 +92,9 @@ package sched
 //	CountScheduler(seed) draws from SplitStream(seed, CountStreamIndex)
 //
 // (drained through a block-filled BufStream — byte-identical by the
-// stream-identity contract) with CountStreamIndex far outside the
-// shard-worker index range, so a counts run never shares a stream with any
-// shard of a sharded run on the same seed. Executions are deterministic per
+// stream-identity contract) with CountStreamIndex below the hybrid's
+// worker indexes (CountStreamIndex+1+w), so a counts run never shares a
+// stream with any worker of a hybrid run on the same seed. Executions are deterministic per
 // (seed, BlockLen) and invariant under chunking: pool state persists across
 // Block calls, so consuming k pairs in any call pattern yields the identical
 // pair sequence.
@@ -273,7 +273,7 @@ func (cs *CountScheduler) Block(counts []int64, max int) []CountPair {
 // blockSampled is Block's B > 1 mode: pairs come without replacement from a
 // pool reloaded every BlockLen pairs. Flat pools take one 64-bit draw per
 // pair — each 32-bit half maps onto the remaining pool by multiply-shift,
-// the same reduction the sharded workers use, with the same contract: bias
+// the same reduction the edge sampler uses, with the same contract: bias
 // < total/2³², far below the statistical-equivalence tolerance. Fenwick
 // pools use exact per-draw rejection sampling.
 func (cs *CountScheduler) blockSampled(counts []int64, max int) []CountPair {

@@ -310,7 +310,7 @@ func (b *BinSampler) Multinomial(rng *BufStream, n int64, probs []float64, out [
 // SplitCounts deals a counts vector into P slices of the given sizes
 // (len(sizes) == P, Σ sizes == counts.N()) uniformly at random without
 // replacement — the exact finite-population ("multivariate hypergeometric")
-// analogue of a multinomial split, used by the sharded×counts hybrid to
+// analogue of a multinomial split, used by the counts hybrid to
 // re-deal agents between worker slices at epoch barriers. out must hold P
 // destination vectors, each at least len(counts) long; they are overwritten.
 // Draw order (slice-major, then state-major, each conditioned on the

@@ -19,7 +19,7 @@ type Graph interface {
 }
 
 // EdgeStreamIndex is the SplitStream index the edge sampler draws from —
-// its own stream family, disjoint from the per-shard worker indexes (small
+// its own stream family, disjoint from the hybrid's worker indexes (small
 // integers) and the counts sampler (CountStreamIndex = 1<<30).
 const EdgeStreamIndex = 1 << 29
 
@@ -31,7 +31,7 @@ const EdgeStreamIndex = 1 << 29
 // Sampling is O(1) per step for every graph: regular graphs index the
 // starter directly; irregular graphs go through a Walker alias table over
 // the degree distribution, built once in O(n). Index mapping uses the same
-// 32-bit multiply-shift as the sharded workers, so pair probabilities are
+// 32-bit multiply-shift as the counts block sampler, so pair probabilities are
 // uniform to within 2⁻³² relative error — inside the statistical contract
 // the backends already share.
 type EdgeRandom struct {

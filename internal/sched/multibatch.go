@@ -113,7 +113,7 @@ func NewBatchScheduler(seed int64, n int) *BatchScheduler {
 }
 
 // NewBatchSchedulerAt returns a batch sampler for a population of n agents
-// drawing from SplitStream(seed, stream). The sharded×counts hybrid pins one
+// drawing from SplitStream(seed, stream). The counts hybrid pins one
 // stream per worker slice (CountStreamIndex+1+w, with CountStreamIndex+1+P
 // reserved for the exchange deal), so P concurrent samplers never share draw
 // positions and the whole run stays a pure function of (seed, P).

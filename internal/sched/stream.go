@@ -3,10 +3,10 @@ package sched
 import "math/bits"
 
 // Stream is a small splittable pseudo-random generator (a SplitMix64 core)
-// for the parallel subsystem (package par): worker shards need statistically
-// independent streams that are deterministically derived from one run seed,
-// so that a sharded run is reproducible per (seed, shard count) without any
-// coordination between workers.
+// for the parallel subsystem (package par): hybrid workers need
+// statistically independent streams that are deterministically derived from
+// one run seed, so that a parallel run is reproducible per (seed, worker
+// count) without any coordination between workers.
 //
 // Stream derivation scheme (the contract par documents and tests pin):
 // stream i of seed s starts from state

@@ -6,7 +6,7 @@ import (
 )
 
 // TestStreamDerivation pins the documented stream-derivation scheme: stream i
-// of seed s starts from mix64(uint64(s) + (i+1)·goldenGamma). Sharded runs
+// of seed s starts from mix64(uint64(s) + (i+1)·goldenGamma). Hybrid runs
 // are reproducible per (seed, P) only because this mapping never changes.
 func TestStreamDerivation(t *testing.T) {
 	for _, seed := range []int64{0, 1, -7, 1 << 40} {

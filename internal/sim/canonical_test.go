@@ -182,11 +182,17 @@ func TestCanonicalKeyIffBehavioral(t *testing.T) {
 		omRate float64
 	}{
 		{"skno-o0", SKnO{P: protocols.Pairing{}, O: 0},
-			func() pp.Configuration { return SKnO{P: protocols.Pairing{}, O: 0}.WrapConfig(protocols.PairingConfig(3, 3)) }, 0},
+			func() pp.Configuration {
+				return SKnO{P: protocols.Pairing{}, O: 0}.WrapConfig(protocols.PairingConfig(3, 3))
+			}, 0},
 		{"skno-o1", SKnO{P: protocols.Majority{}, O: 1},
-			func() pp.Configuration { return SKnO{P: protocols.Majority{}, O: 1}.WrapConfig(protocols.MajorityConfig(3, 2)) }, 0.05},
+			func() pp.Configuration {
+				return SKnO{P: protocols.Majority{}, O: 1}.WrapConfig(protocols.MajorityConfig(3, 2))
+			}, 0.05},
 		{"sid", SID{P: protocols.Majority{}},
-			func() pp.Configuration { return SID{P: protocols.Majority{}}.WrapConfig(protocols.MajorityConfig(3, 3)) }, 0},
+			func() pp.Configuration {
+				return SID{P: protocols.Majority{}}.WrapConfig(protocols.MajorityConfig(3, 3))
+			}, 0},
 		{"naming", Naming{P: protocols.Or{}, N: 5},
 			func() pp.Configuration { return Naming{P: protocols.Or{}, N: 5}.WrapConfig(protocols.OrConfig(5, 2)) }, 0},
 	}

@@ -52,7 +52,7 @@ type Wrapped interface {
 // CanonicalKeyed states with equal keys are behaviorally indistinguishable,
 // so the interner sees a bounded state space for bounded-content simulators
 // and cached transitions apply to every provenance variant of a state pair.
-// The engine's batched path and the sharded runner only accept wrapped
+// The engine's batched path and the counts tiers only accept wrapped
 // configurations whose states implement this interface; other Wrapped
 // implementations stay on the stepwise path, where per-state provenance is
 // exact and no event is lost. All simulators in this package are canonical.
@@ -139,8 +139,7 @@ type EventPair struct {
 
 // TransitionEvents extracts the memoizable event payload of one applied
 // transition, or nil when neither side advanced. Used as the transition
-// cache's payload function by the engine's batched path and the sharded
-// runner, replacing per-state LastEvent reads (which are only exact on
+// cache's payload function by the engine's batched path, replacing per-state LastEvent reads (which are only exact on
 // un-interned states).
 func TransitionEvents(s, r, ns, nr pp.State) *EventPair {
 	se := sideEvent(s, ns)
@@ -156,7 +155,7 @@ func TransitionEvents(s, r, ns, nr pp.State) *EventPair {
 // returning a nil *EventPair directly would store a typed-nil inside the
 // cache's any-valued payload map, which compares non-nil as an interface —
 // this helper returns the untyped nil the cache treats as "no payload".
-// Both the engine's batched path and the sharded runner install this.
+// The engine's batched path installs this.
 func EventPayload(s, r, ns, nr pp.State) any {
 	if p := TransitionEvents(s, r, ns, nr); p != nil {
 		return p

@@ -152,7 +152,7 @@ func (a *SKnOState) DebtSize() int {
 // token queue (tag-free token keys, in order) and the joker debt — and
 // excludes the instrumentation fields (origin, gen, event cache). Two SKnO
 // states with equal keys are behaviorally indistinguishable, which is what
-// lets the interner, transition cache and sharded runner treat wrapped runs
+// lets the interner, transition cache and counts tiers treat wrapped runs
 // as a bounded state space. Memoized on first call; memoization is
 // unsynchronized: first calls must not race (executions are
 // single-goroutine; share states across goroutines only after keying them).

@@ -6,226 +6,10 @@ import (
 	"time"
 
 	"popsim/internal/par"
-	"popsim/internal/pp"
-	"popsim/internal/sim"
 )
 
-// ShardedOptions tune sharded execution; see par.ShardedOptions.
-type ShardedOptions = par.ShardedOptions
-
-// ShardedResult is the outcome of one sharded run.
-type ShardedResult struct {
-	// Steps is the number of interactions applied.
-	Steps int
-	// Converged reports whether the predicate was met.
-	Converged bool
-	// Final is the final simulated (projected) configuration. Sharded
-	// execution permutes agent positions, so treat it as a multiset.
-	Final Configuration
-	// SimEvents is the number of simulated-state update events the run
-	// emitted (simulator systems only; 0 for native protocols).
-	SimEvents int
-	// Degraded reports that the sharded mode could not hold the run — the
-	// interned state space outgrew the sharded bound, or the system's
-	// interaction topology scatters too many edges across shard boundaries
-	// (par.ErrTopology) — and the run was executed on the sequential
-	// (topology-aware) batched engine instead, from the system's current
-	// configuration, for the full horizon. DegradedReason carries the
-	// sharded failure.
-	Degraded       bool
-	DegradedReason string
-}
-
-// Errors of the parallel facade.
-var (
-	// ErrShardedSpec reports a system spec outside the sharded contract.
-	ErrShardedSpec = errors.New("popsim: spec not shardable")
-	// ErrEnsembleSpec reports an invalid ensemble spec.
-	ErrEnsembleSpec = errors.New("popsim: invalid ensemble spec")
-)
-
-// RunSharded executes this system's workload on P worker shards
-// (par.ShardedRunner) from the system's current configuration: pred
-// (optional, projected, count-based) is evaluated every `every`
-// interactions until it holds or horizon interactions have been applied.
-//
-// Sharded execution is a distinct execution mode from the sequential
-// engine: determinism is per (seed, P) — not per seed alone — and
-// equivalence with the sequential scheduler is statistical (see the
-// par.ShardedRunner contract). The system's own sequential engine,
-// scheduler position and trace are left untouched; specs carrying a custom
-// Scheduler or an Adversary are not shardable and return ErrShardedSpec.
-//
-// Simulator systems (spec.Simulate) run sharded too: their canonical state
-// keys keep the interned space bounded, and the run counts simulation
-// events per shard, merged at epoch barriers (reported as SimEvents; the
-// full event stream is available from par.ShardedRunner's RecordEvents
-// mode). If the state space outgrows the sharded bound anyway — at
-// construction or mid-run — the run degrades to the sequential batched
-// engine instead of failing: the result carries Degraded and the sharded
-// failure as DegradedReason.
-func (s *System) RunSharded(opts ShardedOptions, pred func(Configuration) bool, every, horizon int) (*ShardedResult, error) {
-	var projected func(Configuration) bool
-	if pred != nil {
-		projected = func(c Configuration) bool { return pred(sim.Project(c)) }
-	}
-	return s.runSharded(opts, projected, every, horizon)
-}
-
-// RunShardedCounts is RunSharded with a count predicate: pred observes the
-// sharded runner's barrier-merged counts vector — O(|Q|) per evaluation off
-// the per-epoch count-delta streams, instead of RunSharded's O(n)
-// materialization — projected for simulator systems. The view passed to
-// pred aliases live runner state and is valid only during the call.
-func (s *System) RunShardedCounts(opts ShardedOptions, pred func(*StateCounts) bool, every, horizon int) (*ShardedResult, error) {
-	var onConfig func(Configuration) bool
-	var drive shardedDriver
-	project := s.spec.Simulate != nil
-	if pred != nil {
-		// Degrade path (batched engine): one counting pass per check, off a
-		// reused interner and view.
-		onConfig = countsPredicate(pred, project)
-		// Sharded path: refresh a reusable view off the live counts, O(|Q|).
-		drive = func(sr *par.ShardedRunner, every, horizon int) (int, bool, error) {
-			view := &StateCounts{}
-			return sr.RunUntilCounts(func(c pp.Counts) bool {
-				refreshView(view, sr.Interner(), c)
-				if project {
-					return pred(view.Projected())
-				}
-				return pred(view)
-			}, every, horizon)
-		}
-	}
-	return s.runShardedPred(opts, onConfig, drive, every, horizon)
-}
-
-// shardedDriver runs a sharded runner until its predicate holds; see
-// runShardedPred.
-type shardedDriver func(sr *par.ShardedRunner, every, horizon int) (int, bool, error)
-
-// runSharded adapts a raw-configuration predicate into the shared driver.
-func (s *System) runSharded(opts ShardedOptions, pred func(Configuration) bool, every, horizon int) (*ShardedResult, error) {
-	var drive shardedDriver
-	if pred != nil {
-		drive = func(sr *par.ShardedRunner, every, horizon int) (int, bool, error) {
-			return sr.RunUntil(pred, every, horizon)
-		}
-	}
-	return s.runShardedPred(opts, pred, drive, every, horizon)
-}
-
-// runShardedPred is the shared RunSharded driver: drive (when non-nil) runs
-// the runner until the caller's predicate holds, onConfig is the
-// predicate's batched-engine form for the degrade path; both nil means run
-// for the full horizon.
-func (s *System) runShardedPred(opts ShardedOptions, onConfig func(Configuration) bool, drive shardedDriver, every, horizon int) (*ShardedResult, error) {
-	if s.spec.Scheduler != nil || s.spec.Adversary != nil {
-		return nil, ErrShardedSpec
-	}
-	if s.countsNative() {
-		// Sharded execution materializes per-agent shard vectors; the
-		// counts-scaling parallel mode for these systems is RunHybridCounts.
-		return nil, errors.Join(ErrShardedSpec, ErrCountsOnly)
-	}
-	protocol := s.spec.Protocol
-	if s.spec.Simulate != nil {
-		protocol = s.spec.Simulate.Protocol
-		// Count-only tracking: the facade reports SimEvents, so retaining
-		// the full stream (which grows with the run) would be waste.
-		// Callers needing the events themselves use par.ShardedRunner
-		// with RecordEvents directly.
-		opts.TrackEvents = true
-	}
-	// Inherit the system's fast-path state bound as a default, clamped to
-	// the sharded subsystem's own cap (the sequential engine accepts wider
-	// bounds via its overflow map; sharded mirrors are dense-table only).
-	// An explicit opts.MaxStates wins — including one above the cap, which
-	// NewSharded rejects loudly.
-	if opts.MaxStates <= 0 && s.spec.MaxFastStates > 0 {
-		opts.MaxStates = s.spec.MaxFastStates
-		if opts.MaxStates > par.MaxShardedStates {
-			opts.MaxStates = par.MaxShardedStates
-		}
-	}
-	// Thread the system's interaction topology into the runner: vertices are
-	// pinned to contiguous blocks and cross-block edges apply at barriers. An
-	// explicit opts.Topology (advanced callers) wins.
-	if opts.Topology == nil && s.graph != nil {
-		opts.Topology = s.graph
-	}
-	sr, err := par.NewSharded(s.spec.Model, protocol, s.eng.Config(), s.spec.Seed, opts)
-	if err != nil {
-		if shardedDegradable(err) {
-			return s.runShardedDegraded(protocol, onConfig, every, horizon, err)
-		}
-		return nil, err
-	}
-	if s.probe != nil {
-		sr.SetProbe(s.probe)
-	}
-	res := &ShardedResult{}
-	if drive == nil {
-		if err := sr.RunSteps(horizon); err != nil {
-			if shardedDegradable(err) {
-				return s.runShardedDegraded(protocol, onConfig, every, horizon, err)
-			}
-			return nil, err
-		}
-	} else {
-		if _, res.Converged, err = drive(sr, every, horizon); err != nil {
-			if shardedDegradable(err) {
-				return s.runShardedDegraded(protocol, onConfig, every, horizon, err)
-			}
-			return nil, err
-		}
-	}
-	res.Steps = sr.Steps()
-	res.Final = sim.Project(sr.Config()).Clone()
-	res.SimEvents = sr.EventCount()
-	return res, nil
-}
-
-// shardedDegradable reports whether a sharded failure should fall back to
-// the sequential batched engine: the interned state space outgrew the
-// sharded bound, or the topology is not block-shardable.
-func shardedDegradable(err error) bool {
-	return errors.Is(err, par.ErrStateSpace) || errors.Is(err, par.ErrTopology)
-}
-
-// runShardedDegraded is RunSharded's fallback: the sharded mode reported a
-// failure the sequential engine can absorb (cause: state space beyond the
-// sharded bound, or a non-block-shardable topology), so the run executes on
-// a fresh sequential batched engine — topology-aware, from the system's
-// current configuration, same seed, full horizon — and the result records
-// why.
-func (s *System) runShardedDegraded(protocol any, pred func(Configuration) bool, every, horizon int, cause error) (*ShardedResult, error) {
-	s.probe.Degrade("sharded", "batched", 0, cause.Error())
-	rec, eng, err := s.freshBatchedEngine(protocol, s.eng.Config())
-	if err != nil {
-		return nil, err
-	}
-	if s.probe != nil {
-		eng.SetProbe(s.probe)
-	}
-	res := &ShardedResult{Degraded: true, DegradedReason: cause.Error()}
-	if pred == nil {
-		if err := eng.RunStepsBatch(horizon); err != nil {
-			return nil, err
-		}
-	} else {
-		if every < 1 {
-			every = 64 // sharded "every epoch" has no analogue here; stay sparse
-		}
-		if _, res.Converged, err = eng.RunUntilEvery(pred, every, horizon); err != nil {
-			return nil, err
-		}
-	}
-	res.Steps = eng.Steps()
-	res.Final = sim.Project(eng.Config()).Clone()
-	res.SimEvents = len(rec.Events())
-	return res, nil
-}
+// ErrEnsembleSpec reports an invalid ensemble spec.
+var ErrEnsembleSpec = errors.New("popsim: invalid ensemble spec")
 
 // EnsembleSpec fans one system template across K seeds on a bounded worker
 // pool.

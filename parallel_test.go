@@ -21,139 +21,6 @@ func majoritySpec(seed int64) popsim.SystemSpec {
 
 func majorityDone(c popsim.Configuration) bool { return protocols.MajorityConverged(c, "A") }
 
-func TestSystemRunSharded(t *testing.T) {
-	sys, err := popsim.NewSystem(majoritySpec(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.RunSharded(popsim.ShardedOptions{Shards: 4}, majorityDone, 256, 5_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || !majorityDone(res.Final) {
-		t.Fatalf("sharded run did not converge: %+v", res)
-	}
-	if res.Steps <= 0 || res.Steps%256 != 0 {
-		t.Fatalf("steps = %d, want a positive multiple of the check cadence", res.Steps)
-	}
-	if len(res.Final) != 128 {
-		t.Fatalf("final population %d", len(res.Final))
-	}
-	// The sequential engine must be untouched by the sharded run.
-	if sys.Steps() != 0 {
-		t.Fatalf("sequential engine advanced to %d steps", sys.Steps())
-	}
-	// Same (seed, P) reproduces the same final multiset.
-	sys2, err := popsim.NewSystem(majoritySpec(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := sys2.RunSharded(popsim.ShardedOptions{Shards: 4}, majorityDone, 256, 5_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Final.MultisetKey() != res2.Final.MultisetKey() || res.Steps != res2.Steps {
-		t.Fatal("sharded run not deterministic per (seed, P)")
-	}
-}
-
-func TestSystemRunShardedFixedSteps(t *testing.T) {
-	sys, err := popsim.NewSystem(majoritySpec(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.RunSharded(popsim.ShardedOptions{Shards: 2}, nil, 0, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steps != 10_000 || res.Converged {
-		t.Fatalf("fixed-step run: %+v", res)
-	}
-}
-
-// TestSystemRunShardedSimulator: a wrapped simulator system runs sharded —
-// canonical state keys keep the interned space under the sharded bound — and
-// reports its simulation events.
-func TestSystemRunShardedSimulator(t *testing.T) {
-	n := 64
-	s := popsim.SKnO(protocols.Majority{}, 0)
-	sys, err := popsim.NewSystem(popsim.SystemSpec{
-		Model:    popsim.IT,
-		Simulate: &s,
-		Initial:  protocols.MajorityConfig(n/2+6, n/2-6),
-		Seed:     7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.RunSharded(popsim.ShardedOptions{Shards: 2}, majorityDone, 256, 5_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded {
-		t.Fatalf("wrapped sharded run degraded: %s", res.DegradedReason)
-	}
-	if !res.Converged || !majorityDone(res.Final) {
-		t.Fatalf("wrapped sharded run did not converge: %+v", res)
-	}
-	if res.SimEvents == 0 {
-		t.Fatal("no simulation events reported")
-	}
-}
-
-// TestSystemRunShardedDegrades: when the interned state space outgrows the
-// sharded bound, RunSharded must finish the run on the sequential batched
-// engine and say why, not hard-fail.
-func TestSystemRunShardedDegrades(t *testing.T) {
-	n := 64
-	s := popsim.SID(protocols.Majority{})
-	sys, err := popsim.NewSystem(popsim.SystemSpec{
-		Model:    popsim.IO,
-		Simulate: &s,
-		Initial:  protocols.MajorityConfig(n/2+6, n/2-6),
-		Seed:     3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MaxStates 16 < n distinct initial SID states forces the degrade at
-	// construction; a mid-run overflow takes the same path.
-	res, err := sys.RunSharded(popsim.ShardedOptions{Shards: 2, MaxStates: 16}, majorityDone, 64, 5_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded || res.DegradedReason == "" {
-		t.Fatalf("expected a degraded run with a reason, got %+v", res)
-	}
-	if !res.Converged || !majorityDone(res.Final) {
-		t.Fatalf("degraded run did not converge: %+v", res)
-	}
-	if res.SimEvents == 0 {
-		t.Fatal("degraded run lost its simulation events")
-	}
-}
-
-func TestSystemRunShardedRejectsCustomScheduling(t *testing.T) {
-	spec := majoritySpec(1)
-	spec.Scheduler = popsim.RandomScheduler(1)
-	sys, err := popsim.NewSystem(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.RunSharded(popsim.ShardedOptions{}, nil, 0, 100); !errors.Is(err, popsim.ErrShardedSpec) {
-		t.Fatalf("custom scheduler accepted: %v", err)
-	}
-	spec = majoritySpec(1)
-	spec.Adversary = popsim.UOAdversary(2, 0.1, 1)
-	sys, err = popsim.NewSystem(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.RunSharded(popsim.ShardedOptions{}, nil, 0, 100); !errors.Is(err, popsim.ErrShardedSpec) {
-		t.Fatalf("adversary accepted: %v", err)
-	}
-}
-
 func TestRunEnsembleAggregates(t *testing.T) {
 	res, err := popsim.RunEnsemble(context.Background(), popsim.EnsembleSpec{
 		Spec:     majoritySpec(0),

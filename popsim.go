@@ -205,7 +205,7 @@ type SystemSpec struct {
 	// exclusive with Initial. A counts-native system runs on the counts
 	// backend only (RunUntilCounts, NewCountsJob, RunHybridCounts): it has
 	// no agent-vector engine, so the per-agent surface (Step, RunSteps,
-	// RunUntil, Config, RunSharded, …) is unavailable and state-space
+	// RunUntil, Config, …) is unavailable and state-space
 	// overflow surfaces as an error instead of degrading. Requires a native
 	// Protocol: wrapped initial configurations are position-dependent
 	// (SKnO's token holder, SID's per-agent IDs), so simulator systems

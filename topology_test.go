@@ -2,7 +2,6 @@ package popsim_test
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	popsim "popsim"
@@ -159,66 +158,6 @@ func TestTopologyCountsRouting(t *testing.T) {
 	}
 	if res := run(mustTopology(t, "cycle")); res.Backend != "batched" {
 		t.Fatalf("cycle at n=%d: backend %q, want batched (quenched)", n, res.Backend)
-	}
-}
-
-// TestTopologyShardedConverges: block-local graphs run sharded through the
-// facade without degrading.
-func TestTopologyShardedConverges(t *testing.T) {
-	const n = 256
-	sys, err := popsim.NewSystem(popsim.SystemSpec{
-		Model:    popsim.TW,
-		Protocol: protocols.Or{},
-		Initial:  protocols.OrConfig(n, 1),
-		Seed:     2,
-		Topology: mustTopology(t, "cycle"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.RunSharded(popsim.ShardedOptions{Shards: 2}, func(c popsim.Configuration) bool {
-		return protocols.OrConverged(c, protocols.One)
-	}, 1000, 50_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded {
-		t.Fatalf("cycle degraded: %s", res.DegradedReason)
-	}
-	if !res.Converged {
-		t.Fatal("sharded OR epidemic did not converge on the cycle")
-	}
-}
-
-// TestTopologyShardedDegrades: scattered graphs degrade to the sequential
-// edge-sampling engine with the sharded failure as the reason — and the
-// degraded run still samples the GRAPH's edges, not the complete graph.
-func TestTopologyShardedDegrades(t *testing.T) {
-	const n = 256
-	sys, err := popsim.NewSystem(popsim.SystemSpec{
-		Model:    popsim.TW,
-		Protocol: protocols.Or{},
-		Initial:  protocols.OrConfig(n, 1),
-		Seed:     2,
-		Topology: mustTopology(t, "regular:4"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.RunSharded(popsim.ShardedOptions{Shards: 4}, func(c popsim.Configuration) bool {
-		return protocols.OrConverged(c, protocols.One)
-	}, 1000, 50_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded {
-		t.Fatal("regular:4 at P=4 did not degrade")
-	}
-	if !strings.Contains(res.DegradedReason, "topology") {
-		t.Fatalf("degrade reason does not name the topology: %q", res.DegradedReason)
-	}
-	if !res.Converged {
-		t.Fatal("degraded run did not converge")
 	}
 }
 
